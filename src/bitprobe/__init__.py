@@ -7,7 +7,6 @@ from .gf import (
     GF2_16,
     GF2_32,
     GF2_64,
-    CounterRng,
     FieldSpec,
     PolySeed,
     default_indep_k,

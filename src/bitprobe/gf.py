@@ -22,6 +22,7 @@ whole seed space.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -132,83 +133,88 @@ def poly_eval(seed: PolySeed, x: int) -> int:
 #
 # Carry-less 32x32->64 multiply via the 4-way bit-split trick: operands are
 # masked into four interleaved quarters so that plain integer products never
-# carry into a used bit position of their residue class.
+# carry into a used bit position of their residue class.  Horner multiplies
+# by the same point x at every step, so the quarters of x's 32-bit limbs are
+# masked once per chunk and a step masks only the accumulator's limbs.  A
+# high limb of x that is zero across the chunk is skipped (edge indices are
+# below 2^32 whenever m*d <= 2^32): a 64-bit step then takes two 32x32
+# products instead of four, and its high word one fold instead of two.
+# Chunks of 2^14 points keep each temporary at 128 KiB, inside a 2 MiB L2.
 # ---------------------------------------------------------------------------
 
 _U64 = np.uint64
 _QMASK = [_U64(0x11111111 * (1 << i)) for i in range(4)]
 _QMASK64 = [_U64(0x1111111111111111 * (1 << i)) for i in range(4)]
-_LOW32 = _U64(0xFFFFFFFF)
 _S32 = _U64(32)
+_CHUNK_POINTS = 1 << 14
 
 
-def _clmul32_block(x, y):
-    x0 = x & _QMASK[0]
-    x1 = x & _QMASK[1]
-    x2 = x & _QMASK[2]
-    x3 = x & _QMASK[3]
-    y0 = y & _QMASK[0]
-    y1 = y & _QMASK[1]
-    y2 = y & _QMASK[2]
-    y3 = y & _QMASK[3]
-    z0 = (x0 * y0) ^ (x1 * y3) ^ (x2 * y2) ^ (x3 * y1)
-    z1 = (x0 * y1) ^ (x1 * y0) ^ (x2 * y3) ^ (x3 * y2)
-    z2 = (x0 * y2) ^ (x1 * y1) ^ (x2 * y0) ^ (x3 * y3)
-    z3 = (x0 * y3) ^ (x1 * y2) ^ (x2 * y1) ^ (x3 * y0)
-    return (z0 & _QMASK64[0]) | (z1 & _QMASK64[1]) | (z2 & _QMASK64[2]) | (z3 & _QMASK64[3])
+def _quarters(limb):
+    return [limb & q for q in _QMASK]
 
 
-def _poly_bit_positions(field: FieldSpec):
-    return tuple(i for i in range(field.width_bits) if (field.reduction_poly >> i) & 1)
+def _clmul32(xq, yq):
+    """Carry-less product of two 32-bit limbs given as their quarters."""
+    z = []
+    for r in range(4):
+        acc = xq[0] * yq[r]
+        for i in (1, 2, 3):
+            acc ^= xq[i] * yq[(r - i) & 3]
+        acc &= _QMASK64[r]
+        z.append(acc)
+    return z[0] | z[1] | z[2] | z[3]
 
 
-def _mul_block_small(a, b, field: FieldSpec):
-    # width <= 32: the whole product fits in a uint64; fold the top twice.
+def _mul_point(acc, x_quarters, field: FieldSpec, bits):
+    """acc * x, schoolbook over the 32-bit limbs whose quarters are given."""
     w = field.width_bits
-    bits = _poly_bit_positions(field)
-    wmask = _U64((1 << w) - 1)
-    prod = _clmul32_block(a, b)
-    for _ in range(2):
-        hi = prod >> _U64(w)
-        prod &= wmask
-        for beta in bits:
-            prod ^= hi << _U64(beta)
-    return prod
-
-
-def _mul_block_64(a, b, field: FieldSpec):
-    # Karatsuba over 32-bit halves, then fold the high word modulo the
-    # field polynomial (two folds suffice: the low part has degree <= 4).
-    bits = _poly_bit_positions(field)
-    a0 = a & _LOW32
-    a1 = a >> _S32
-    b0 = b & _LOW32
-    b1 = b >> _S32
-    z0 = _clmul32_block(a0, b0)
-    z2 = _clmul32_block(a1, b1)
-    z1 = _clmul32_block(a0 ^ a1, b0 ^ b1) ^ z0 ^ z2
-    lo = z0 ^ (z1 << _S32)
-    hi = z2 ^ (z1 >> _S32)
-    acc = lo
-    over = np.zeros_like(hi)
+    a_quarters = [_quarters(acc)] + ([_quarters(acc >> _S32)] if w == 64 else [])
+    words = {}  # words[t]: XOR of the limb products shifted up by 32*t bits
+    for i, aq in enumerate(a_quarters):
+        for j, xq in enumerate(x_quarters):
+            z = _clmul32(aq, xq)
+            words[i + j] = words[i + j] ^ z if i + j in words else z
+    if w < 64:
+        # width <= 32: the whole product fits in a uint64; fold the top twice.
+        prod = words[0]
+        wmask = _U64((1 << w) - 1)
+        for _ in range(2):
+            hi = prod >> _U64(w)
+            prod &= wmask
+            for beta in bits:
+                prod ^= hi << _U64(beta)
+        return prod
+    # Fold the high word modulo the field polynomial.  Only a high point
+    # limb lifts it past 2^60, where the shifts push bits beyond bit 63;
+    # XORed into its low end (the low part has degree <= 4), they fold too.
+    lo = words[0] ^ (words[1] << _S32)
+    hi = words[1] >> _S32
+    if 2 in words:
+        hi ^= words[2]
+        hi ^= reduce(np.bitwise_xor, [hi >> _U64(64 - beta) for beta in bits if beta])
     for beta in bits:
-        acc ^= hi << _U64(beta)
-        if beta:
-            over ^= hi >> _U64(64 - beta)
-    for beta in bits:
-        acc ^= over << _U64(beta)
-    return acc
+        lo ^= hi << _U64(beta)
+    return lo
 
 
 def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     """Evaluate the seed polynomial at every point of a uint64 array."""
     xs = np.ascontiguousarray(xs, dtype=np.uint64)
-    mul = _mul_block_64 if seed.field.width_bits == 64 else _mul_block_small
-    acc = np.full(xs.shape, _U64(seed.coeffs[-1]), dtype=np.uint64)
-    for c in reversed(seed.coeffs[:-1]):
-        acc = mul(acc, xs, seed.field)
-        acc ^= _U64(c)
-    return acc
+    out = np.empty_like(xs)
+    flat_xs, flat_out = xs.reshape(-1), out.reshape(-1)
+    field = seed.field
+    bits = tuple(i for i in range(field.width_bits) if (field.reduction_poly >> i) & 1)
+    for lo in range(0, flat_xs.size, _CHUNK_POINTS):
+        x = flat_xs[lo:lo + _CHUNK_POINTS]
+        x_quarters = [_quarters(x)]
+        if field.width_bits == 64 and (x >> _S32).any():
+            x_quarters.append(_quarters(x >> _S32))
+        acc = np.full(x.shape, _U64(seed.coeffs[-1]))
+        for c in reversed(seed.coeffs[:-1]):
+            acc = _mul_point(acc, x_quarters, field, bits)
+            acc ^= _U64(c)
+        flat_out[lo:lo + _CHUNK_POINTS] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +250,3 @@ def draw_seed(rng, indep_k: int, field: FieldSpec = GF2_64) -> PolySeed:
     raw = rng.getrandbits(field.width_bits * indep_k)
     return seed_from_index(raw, indep_k, field)
 
-
-class CounterRng:
-    """Counter standing in for an rng, for exhaustive seed enumeration.
-
-    ``getrandbits(n)`` returns successive integers 0, 1, 2, ... so that
-    ``draw_seed`` walks the full seed space in index order.  Raises once
-    the counter no longer fits in n bits (the space is exhausted).
-    """
-
-    def __init__(self, start: int = 0):
-        self._next = start
-
-    def getrandbits(self, n: int) -> int:
-        value = self._next
-        if value >= 1 << n:
-            raise ValueError(f"seed space of {n} bits exhausted")
-        self._next = value + 1
-        return value

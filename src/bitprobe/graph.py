@@ -17,9 +17,6 @@ from .gf import GF2_64, FieldSpec, PolySeed, poly_eval, poly_eval_block
 
 DEFAULT_MATERIALIZE_BUDGET = 1 << 22
 
-# Keeps eval+lookup chunks cache-resident on big scans.
-SCAN_CHUNK_POINTS = 1 << 18
-
 
 @dataclass(frozen=True)
 class GraphParams:
@@ -132,15 +129,11 @@ def edge_targets(g: Graph, vs=None) -> np.ndarray:
             raise ValueError("left vertex out of range")
     if isinstance(g, ExplicitGraph):
         return g.adjacency[vs]
-    out = np.empty((len(vs), p.d), dtype=np.int64)
     pts = (vs[:, None].astype(np.uint64) * np.uint64(p.d)
            + np.arange(p.d, dtype=np.uint64)).ravel()
-    smask = np.uint64(p.s - 1)
-    flat = out.reshape(-1)
-    for lo in range(0, len(pts), SCAN_CHUNK_POINTS):
-        hi = min(len(pts), lo + SCAN_CHUNK_POINTS)
-        flat[lo:hi] = (poly_eval_block(g.seed, pts[lo:hi]) & smask).astype(np.int64)
-    return out
+    out = poly_eval_block(g.seed, pts)
+    out &= np.uint64(p.s - 1)
+    return out.view(np.int64).reshape(len(vs), p.d)
 
 
 def marked_neighbors(g: Graph, A) -> np.ndarray:

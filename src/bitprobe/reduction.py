@@ -15,7 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import Bitmap
-from .graph import SCAN_CHUNK_POINTS, Graph, edge_targets, marked_neighbors, neighbor
+from .graph import Graph, edge_targets, marked_neighbors, neighbor
+
+# Points per slot_overlap_counts chunk: bounds the int64 neighbor table
+# (8 bytes per slot, 2 MiB) that a scan holds at once.
+SCAN_CHUNK_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)

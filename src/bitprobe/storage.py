@@ -167,8 +167,8 @@ def _parse_header(data: bytes) -> dict:
         raise InvariantViolation(f"unsupported field width {field_width}")
     if universe_bits < 1 or d < 1 or indep_k < 1:
         raise InvariantViolation("universe_bits, d and indep_k must be >= 1")
-    if log2_s > field_width:
-        raise InvariantViolation("log2_s exceeds the field width")
+    if log2_s > field_width or universe_bits > field_width:
+        raise InvariantViolation("log2_s or universe_bits exceeds the field width")
     if (1 << universe_bits) * d > 1 << field_width:
         raise InvariantViolation("m*d edge indices do not fit in the field")
     return {

@@ -44,6 +44,25 @@ def sym_mul3(a, b):
     return coeffs[0] | (coeffs[1] << 1) | (coeffs[2] << 2)
 
 
+class CounterRng:
+    """Counter standing in for an rng, for exhaustive seed enumeration.
+
+    ``getrandbits(n)`` returns successive integers 0, 1, 2, ... so that
+    ``draw_seed`` walks the full seed space in index order.  Raises once
+    the counter no longer fits in n bits (the space is exhausted).
+    """
+
+    def __init__(self, start: int = 0):
+        self._next = start
+
+    def getrandbits(self, n: int) -> int:
+        value = self._next
+        if value >= 1 << n:
+            raise ValueError(f"seed space of {n} bits exhausted")
+        self._next = value + 1
+        return value
+
+
 def naive_poly_eval(coeffs, x, width, poly_mask):
     """Reference power-sum evaluation: sum of c_j * x^j."""
     total = 0

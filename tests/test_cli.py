@@ -1,8 +1,12 @@
 import csv
+import dataclasses
 import io
 from fractions import Fraction
 
-from bitprobe import storage
+import pytest
+
+from bitprobe import cli, scheme_one, storage
+from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
 from bitprobe.storage import section_layout
@@ -187,6 +191,46 @@ def test_bmrv_build_query_verify(tmp_path, capsys):
     rc = main(["verify", out, write_set(tmp_path, elements),
                "-o", str(tmp_path / "bmrv.csv")])
     assert rc == 0
+    capsys.readouterr()
+
+
+def test_bmrv_verify_is_two_sided(tmp_path, capsys):
+    # master seed 20 relabels: the member keeps 1 of its d=4 slots at 0, an
+    # error of 1/4 that the two-sided guarantee (at most eps) allows
+    out, _ = build(tmp_path, [0], capsys, kind="bmrv", u=1,
+                   extra=("--master-seed", "20"))
+    set_file = write_set(tmp_path, [0])
+    rc = main(["verify", out, set_file, "-o", str(tmp_path / "bmrv.csv")])
+    err = capsys.readouterr().err
+    assert "max_member_error=1/4" in err and "verdict=pass" in err
+    assert rc == 0
+
+    blob = bytearray(open(out, "rb").read())
+    off = {name: off for name, off, _ in section_layout(bytes(blob))}["bitmap"]
+    blob[off + 8:] = bytes(len(blob) - off - 8)  # every member now errs
+    open(out, "wb").write(bytes(blob))
+    rc = main(["verify", out, set_file, "-o", str(tmp_path / "bmrv.csv")])
+    assert rc == 1
+    assert "verdict=fail" in capsys.readouterr().err
+
+
+def test_bench_status_checks_the_guarantee(tmp_path, capsys, monkeypatch):
+    def encode_empty(*args, **kwargs):
+        sch = scheme_one.encode(*args, **kwargs)
+        return dataclasses.replace(sch, bitmap=Bitmap(sch.params.s))
+
+    monkeypatch.setitem(cli._ENCODERS, "one", encode_empty)
+    rc = main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
+               "--trials", "1", "--indep-k", "4"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0]["status"] == "violated"
+    assert rc == 1
+
+
+def test_bench_rejects_zero_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--u-list", "4", "--eps-list", "1/2", "--trials", "0"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitprobe.gf import (
     GF2_3,
@@ -9,7 +11,6 @@ from bitprobe.gf import (
     GF2_16,
     GF2_32,
     GF2_64,
-    CounterRng,
     FieldSpec,
     PolySeed,
     default_indep_k,
@@ -20,8 +21,9 @@ from bitprobe.gf import (
     poly_eval_block,
     seed_from_index,
 )
+from bitprobe.gf import _CHUNK_POINTS
 
-from helpers import naive_gf_mul, naive_poly_eval, sym_mul3
+from helpers import CounterRng, naive_gf_mul, naive_poly_eval, sym_mul3
 
 ALL_FIELDS = [GF2_3, GF2_8, GF2_16, GF2_32, GF2_64]
 WIDE_FIELDS = [GF2_8, GF2_16, GF2_32, GF2_64]
@@ -150,10 +152,34 @@ def test_poly_eval_block_matches_scalar(field):
     rng = random.Random(17 + field.width_bits)
     coeffs = tuple(rng.randrange(field.order) for _ in range(5))
     seed = PolySeed(coeffs, field)
-    xs = [rng.randrange(field.order) for _ in range(500)]
+    xs = [rng.randrange(field.order) for _ in range(2 * _CHUNK_POINTS + 77)]  # three chunks
     block = poly_eval_block(seed, np.array(xs, dtype=np.uint64))
     for x, got in zip(xs, block):
         assert int(got) == poly_eval(seed, x)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_eval_block_matches_power_sum_reference(field, data):
+    element = st.integers(0, field.order - 1)
+    coeffs = data.draw(st.lists(element, min_size=1, max_size=5))
+    xs = data.draw(st.lists(element, max_size=6))
+    got = poly_eval_block(PolySeed(tuple(coeffs), field), np.array(xs, dtype=np.uint64))
+    assert [int(v) for v in got] == [
+        naive_poly_eval(coeffs, x, field.width_bits, field.reduction_poly) for x in xs]
+
+
+def test_poly_eval_block_high_limb_in_one_chunk_only():
+    # chunk 0 stays below 2^32 throughout; chunk 1 holds points of 2^32 and up
+    edge = [(1 << 32) - 1, 1 << 32, (1 << 64) - 1]
+    xs = list(range(_CHUNK_POINTS - 1)) + edge + list(range(500))
+    rng = random.Random(3)
+    seed = PolySeed(tuple(rng.randrange(1 << 64) for _ in range(5)), GF2_64)
+    block = poly_eval_block(seed, np.array(xs, dtype=np.uint64))
+    assert [int(v) for v in block] == [poly_eval(seed, x) for x in xs]
+    for i, x in enumerate(xs[_CHUNK_POINTS - 2:_CHUNK_POINTS + 2], _CHUNK_POINTS - 2):
+        assert int(block[i]) == naive_poly_eval(seed.coeffs, x, 64, GF2_64.reduction_poly)
 
 
 def test_poly_eval_block_empty():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 from fractions import Fraction
@@ -169,3 +170,32 @@ def test_save_requires_power_of_two_universe():
     sch = OneProbeScheme(params, PolySeed((1,), GF2_64), Bitmap(4), 1)
     with pytest.raises(InvariantViolation):
         save(sch)
+
+
+# sha256 of save(encode([3, 17, 40, 58], 6, 1/2, master_seed=7)) in GF(2^64),
+# recorded before the bulk kernel was rewritten: the same flags must keep
+# giving the same scheme file.
+GOLDEN_SHA256 = {
+    ("one", None): "1e170d18c38bfb071bc25b125b3c556b41884730c38ac90eb30e1dd06c1ad115",
+    ("one", 6): "c13965db2725f03b389f8c6e786a0a65fc31e4b2d0f1f90ecd11c581ba8204da",
+    ("two", None): "df56c9ef7930df62f4d551122c31d9df546c421060da033943048be328fa67b6",
+    ("two", 6): "a7b532b4d9e9000ff392a7c90029e811ec82f5e3f19ce02165d4f3ca10626142",
+    ("bmrv", None): "0d4fecd49049f1121465e3d5e74c55a9bbed64c007d2327dd2a396b162a0f4e4",
+    ("bmrv", 6): "2ffa604e57acbce0168fc15ab4fa637a3b23f162375029da016d9e60ecb8d15e",
+}
+
+
+@pytest.mark.parametrize("kind,indep_k", list(GOLDEN_SHA256))
+def test_scheme_bytes_match_golden_digest(kind, indep_k):
+    encode = {"one": scheme_one.encode, "two": scheme_two.encode,
+              "bmrv": bmrv.encode}[kind]
+    sch = encode([3, 17, 40, 58], 6, Fraction(1, 2), indep_k=indep_k, master_seed=7)
+    assert hashlib.sha256(save(sch)).hexdigest() == GOLDEN_SHA256[kind, indep_k]
+
+
+def test_huge_universe_bits_rejected_before_sizing():
+    # 2^(2^32-1) * d would be a gigabyte-sized integer: bound it first
+    header = bytearray(save(one_probe())[:storage.HEADER_SIZE])
+    struct.pack_into("<I", header, 7, (1 << 32) - 1)  # universe_bits field
+    with pytest.raises(InvariantViolation):
+        load(bytes(header))
