@@ -42,7 +42,8 @@ from .bmrv import (
     greedy_label,
     verify_labeling,
 )
-from .scheme_one import OneProbeScheme, RetriesExhausted
+from .scheme import RetriesExhausted, Scheme, Stage
+from .scheme_one import OneProbeScheme
 from .scheme_two import TwoProbeScheme, compute_misclassified
 from .oracle import (
     BudgetExceeded,

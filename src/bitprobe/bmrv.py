@@ -16,11 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import scheme
 from .bits import Bitmap
-from .gf import GF2_64, FieldSpec, PolySeed, default_indep_k, draw_seed
-from .graph import Graph, GraphParams, SeededGraph, derive_params, edge_targets, neighbor
+from .gf import GF2_64, FieldSpec
+from .graph import Graph, GraphParams, SeededGraph, edge_targets
 from .reduction import overlap_threshold
-from .scheme_one import RetriesExhausted, resolve_probe
+from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
 
 
 class NonConvergence(Exception):
@@ -60,11 +61,7 @@ def greedy_label(g: Graph, A, eps, max_iters: int | None = None,
     threshold = overlap_threshold(p.d, eps)
     if max_iters is None:
         max_iters = default_max_iters(p.m)
-    A = sorted(set(A))
-    if A and (A[0] < 0 or A[-1] >= p.m):
-        raise ValueError("element out of range [0, m)")
-    if len(A) > p.n_cap:
-        raise ValueError(f"|A| = {len(A)} exceeds n_cap = {p.n_cap}")
+    A = check_set(A, p)
 
     targets = edge_targets(g)
     member = np.zeros(p.m, dtype=bool)
@@ -128,46 +125,39 @@ def verify_labeling(g: Graph, A, eps, lab: Labeling | Bitmap) -> LabelingReport:
                           member_err <= eps and nonmember_err <= eps)
 
 
-@dataclass(frozen=True)
-class BmrvScheme:
+class BmrvScheme(Scheme):
     """A converged labeling over a seeded graph, ready to answer queries."""
 
-    params: GraphParams
-    seed: PolySeed
-    bits: Bitmap
-    retries_used: int
-    master_seed: int = 0
+    KIND = 3
+    TWO_SIDED = True
 
     @property
     def graph(self) -> SeededGraph:
-        return SeededGraph(self.params, self.seed)
+        return self.stages[0].graph
 
 
-def encode(A, universe_bits: int, eps, *, n_cap: int | None = None,
-           indep_k: int | None = None, master_seed: int = 0,
-           max_retries: int = 64, field: FieldSpec = GF2_64,
-           max_iters: int | None = None) -> BmrvScheme:
+def encode_with_params(A, params: GraphParams, *, indep_k: int,
+                       master_seed: int = 0,
+                       max_retries: int = DEFAULT_MAX_RETRIES,
+                       field: FieldSpec = GF2_64,
+                       max_iters: int | None = None) -> BmrvScheme:
     """Draw seeds until the greedy relabeling converges for A."""
-    A = sorted(set(A))
-    eps = Fraction(eps)
-    if n_cap is None:
-        n_cap = max(len(A), 1)
-    params = derive_params(universe_bits, n_cap, eps, field)
-    if indep_k is None:
-        indep_k = default_indep_k(universe_bits)
-    rng = random.Random(master_seed)
-    for attempt in range(1, max_retries + 1):
-        seed = draw_seed(rng, indep_k, field)
-        g = SeededGraph(params, seed)
+    def converged(g):
         try:
-            lab = greedy_label(g, A, eps, max_iters)
+            return greedy_label(g, A, params.eps, max_iters)
         except NonConvergence:
-            continue
-        return BmrvScheme(params, seed, lab.bits, attempt, master_seed)
-    raise RetriesExhausted(max_retries, "no seed produced a converged labeling")
+            return None
+
+    g, lab, retries = search(random.Random(master_seed), params, indep_k, field,
+                             max_retries, converged, "no seed produced a converged labeling")
+    return BmrvScheme((Stage(g, lab.bits, retries),), master_seed)
+
+
+def encode(A, universe_bits: int, eps, **options) -> BmrvScheme:
+    """Build the scheme for A; options as in `scheme.encode`, plus max_iters."""
+    return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
 
 
 def query(sch: BmrvScheme, x: int, probe_src) -> bool:
     """Read the label of one random (or chosen) neighbor of x."""
-    i = resolve_probe(probe_src, sch.params.d)
-    return bool(sch.bits.get(neighbor(sch.graph, x, i)))
+    return scheme.query(sch, x, probe_src)

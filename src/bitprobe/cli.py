@@ -7,7 +7,9 @@ so every subcommand is deterministic given its flags.
 """
 
 import argparse
+import contextlib
 import csv
+import itertools
 import os
 import random
 import sys
@@ -18,8 +20,7 @@ from . import bmrv, scheme_one, scheme_two, storage
 from .gf import FIELDS_BY_WIDTH, field_for_width
 from .graph import neighbor
 from .oracle import BudgetExceeded, error_profile
-from .reduction import probe_overlap
-from .scheme_one import RetriesExhausted
+from .scheme import RetriesExhausted, exact_error, query, resolve_probes
 
 EXIT_OK = 0
 EXIT_GUARANTEE_VIOLATED = 1
@@ -82,6 +83,13 @@ def _env_budget():
     return int(raw) if raw else None
 
 
+@contextlib.contextmanager
+def _csv_output(path):
+    """A CSV writer on the file at path, or on stdout without one."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+        yield csv.writer(out)
+
+
 def cmd_build(args) -> int:
     try:
         A = _read_set_file(args.set_file, 1 << args.universe_bits)
@@ -99,17 +107,10 @@ def cmd_build(args) -> int:
         return EXIT_ENCODE_FAILURE
     with open(args.output, "wb") as fh:
         fh.write(data)
-    s = scheme.params.s
-    if args.kind == "two":
-        fields = (f"bitmap_bits={2 * s} "
-                  f"cache_bits={2 * scheme.seed1.indep_k * scheme.seed1.field.width_bits} "
-                  f"retries_used={scheme.retries_stage1 + scheme.retries_stage2} "
-                  f"w_size={scheme.w_size}")
-    else:
-        seed = scheme.seed
-        fields = (f"bitmap_bits={s} "
-                  f"cache_bits={seed.indep_k * seed.field.width_bits} "
-                  f"retries_used={scheme.retries_used}")
+    fields = (f"bitmap_bits={scheme.bitmap_bits} cache_bits={scheme.cache_bits} "
+              f"retries_used={scheme.retries}")
+    if len(scheme.stages) > 1:
+        fields += f" w_size={scheme.w_size}"
     print(f"kind={args.kind} {fields} wall_ms={wall_ms:.1f}")
     return EXIT_OK
 
@@ -124,47 +125,25 @@ def _format_rate(rate: Fraction) -> str:
 
 
 def cmd_query(args) -> int:
+    x = args.element
+    rng = random.Random(args.master_seed)
     try:
         scheme = _load_scheme(args.scheme_file)
-        x = args.element
-        if not 0 <= x < scheme.params.m:
-            raise ValueError(f"element {x} out of range [0, {scheme.params.m})")
+        probes = resolve_probes(rng, len(scheme.stages), scheme.params.d)
+        answer = query(scheme, x, probes)
     except (ValueError, OSError, storage.SchemeFileError) as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
-    rng = random.Random(args.master_seed)
-    d = scheme.params.d
-    if isinstance(scheme, scheme_two.TwoProbeScheme):
-        i1, i2 = rng.randrange(d), rng.randrange(d)
-        pos1 = neighbor(scheme.g1, x, i1)
-        pos2 = neighbor(scheme.g2, x, i2)
-        answer = bool(scheme.bitmap1.get(pos1) and scheme.bitmap2.get(pos2))
-        print(f"answer={str(answer).lower()} probe_indices={i1},{i2} "
-              f"bit_positions={pos1},{pos2}")
-    else:
-        i = rng.randrange(d)
-        pos = neighbor(scheme.graph, x, i)
-        bitmap = scheme.bitmap if isinstance(scheme, scheme_one.OneProbeScheme) else scheme.bits
-        answer = bool(bitmap.get(pos))
-        print(f"answer={str(answer).lower()} probe_index={i} bit_position={pos}")
-
+    positions = [neighbor(st.graph, x, i) for st, i in zip(scheme.stages, probes)]
+    index, position = "probe_index", "bit_position"
+    if len(probes) > 1:
+        index, position = "probe_indices", "bit_positions"
+    print(f"answer={str(answer).lower()} "
+          f"{index}={','.join(map(str, probes))} {position}={','.join(map(str, positions))}")
     if args.exact:
-        if isinstance(scheme, scheme_two.TwoProbeScheme):
-            rate = scheme_two.exact_error(scheme, x)
-        elif isinstance(scheme, scheme_one.OneProbeScheme):
-            rate = scheme_one.exact_error(scheme, x)
-        else:
-            rate = Fraction(probe_overlap(scheme.graph, x, scheme.bits), d)
-        print(f"positive_rate={_format_rate(rate)}")
+        print(f"positive_rate={_format_rate(exact_error(scheme, x))}")
     elif args.trials:
-        hits = 0
-        for _ in range(args.trials):
-            if isinstance(scheme, scheme_two.TwoProbeScheme):
-                hits += scheme_two.query(scheme, x, rng)
-            elif isinstance(scheme, scheme_one.OneProbeScheme):
-                hits += scheme_one.query(scheme, x, rng)
-            else:
-                hits += bmrv.query(scheme, x, rng)
+        hits = sum(query(scheme, x, rng) for _ in range(args.trials))
         print(f"positive_rate={hits / args.trials} trials={args.trials}")
     return EXIT_OK
 
@@ -173,7 +152,7 @@ def _guarantee_holds(scheme, profile) -> bool:
     """One-sided for one and two: no member errs and every non-member errs
     below eps.  Two-sided for bmrv: both sides err at most eps."""
     eps = scheme.params.eps
-    if isinstance(scheme, bmrv.BmrvScheme):
+    if scheme.TWO_SIDED:
         return max(profile.max_member_error, profile.max_nonmember_error) <= eps
     return profile.false_negative_count == 0 and profile.max_nonmember_error < eps
 
@@ -191,15 +170,10 @@ def cmd_verify(args) -> int:
         print(f"verify aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
     members = set(A)
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out)
+    with _csv_output(args.output) as writer:
         writer.writerow(["element", "membership", "exact_error_num", "exact_error_den"])
         for x, err in enumerate(profile.per_element):
             writer.writerow([x, int(x in members), err.numerator, err.denominator])
-    finally:
-        if args.output:
-            out.close()
     ok = _guarantee_holds(scheme, profile)
     print(f"false_negatives={profile.false_negative_count} "
           f"max_member_error={_format_rate(profile.max_member_error)} "
@@ -227,32 +201,17 @@ def _bench_cell(u, n, eps, kind, args):
         scheme = encode(A, u, eps, indep_k=args.indep_k,
                         master_seed=args.master_seed + trial, field=field)
         encode_ms.append((time.perf_counter() - t0) * 1000.0)
-        if kind == "two":
-            seeds_tried += scheme.retries_stage1 + scheme.retries_stage2
-        else:
-            seeds_tried += scheme.retries_used
+        seeds_tried += scheme.retries
     qrng = random.Random(args.master_seed)
     queries = 512
     t0 = time.perf_counter_ns()
     for _ in range(queries):
-        x = qrng.randrange(m)
-        if kind == "two":
-            scheme_two.query(scheme, x, qrng)
-        elif kind == "one":
-            scheme_one.query(scheme, x, qrng)
-        else:
-            bmrv.query(scheme, x, qrng)
+        query(scheme, qrng.randrange(m), qrng)
     query_ns = (time.perf_counter_ns() - t0) / queries
     profile = error_profile(scheme, A, budget=_env_budget())
     max_error = max(profile.max_nonmember_error, profile.max_member_error)
-    seeds_accepted = args.trials * (2 if kind == "two" else 1)
-    if kind == "two":
-        bitmap_bits = 2 * scheme.params.s
-        cache_bits = 2 * scheme.seed1.indep_k * scheme.seed1.field.width_bits
-    else:
-        bitmap_bits = scheme.params.s
-        cache_bits = scheme.seed.indep_k * scheme.seed.field.width_bits
-    return [u, n, _format_rate(eps), kind, bitmap_bits, cache_bits,
+    seeds_accepted = args.trials * len(scheme.stages)
+    return [u, n, _format_rate(eps), kind, scheme.bitmap_bits, scheme.cache_bits,
             f"{seeds_tried / args.trials:.3f}",
             max_error.numerator, max_error.denominator,
             f"{sum(encode_ms) / len(encode_ms):.3f}", f"{query_ns:.0f}",
@@ -261,24 +220,17 @@ def _bench_cell(u, n, eps, kind, args):
 
 
 def cmd_bench(args) -> int:
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
     violated = False
-    try:
-        writer = csv.writer(out)
+    with _csv_output(args.output) as writer:
         writer.writerow(BENCH_COLUMNS)
-        for u in args.u_list:
-            for n in args.n_list:
-                for eps in args.eps_list:
-                    try:
-                        row = _bench_cell(u, n, eps, args.kind, args)
-                    except (ValueError, RetriesExhausted, BudgetExceeded) as exc:
-                        row = [u, n, _format_rate(eps), args.kind] + [""] * 8
-                        row += [f"{type(exc).__name__}"]
-                    violated |= row[-1] == "violated"
-                    writer.writerow(row)
-    finally:
-        if args.output:
-            out.close()
+        for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
+            try:
+                row = _bench_cell(u, n, eps, args.kind, args)
+            except (ValueError, RetriesExhausted, BudgetExceeded) as exc:
+                row = [u, n, _format_rate(eps), args.kind] + [""] * 8
+                row += [f"{type(exc).__name__}"]
+            violated |= row[-1] == "violated"
+            writer.writerow(row)
     return EXIT_GUARANTEE_VIOLATED if violated else EXIT_OK
 
 

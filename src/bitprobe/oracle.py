@@ -14,12 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bmrv import BmrvScheme, Labeling
-from .gf import FieldSpec, poly_eval
+from .bmrv import Labeling
+from .gf import FieldSpec, poly_eval, seed_from_index
 from .graph import ExplicitGraph
 from .reduction import slot_overlap_counts
-from .scheme_one import OneProbeScheme
-from .scheme_two import TwoProbeScheme
+from .scheme import Scheme
 
 # error_profile default: at most 2^20 universe elements times the probe count.
 PROBE_BUDGET_ELEMENTS = 1 << 20
@@ -46,18 +45,14 @@ def error_profile(target, A, budget: int | None = None) -> ErrorProfile:
     """Enumerate every probe of every universe element and report exact
     (rational) error probabilities.
 
-    ``target`` is a OneProbeScheme, a TwoProbeScheme, a BmrvScheme, or a
-    ``(graph, labeling)`` pair; ``A`` is the stored set the target encodes.
-    For the two-probe scheme the per-element true-answer count over all
-    d*d probe pairs factors exactly into the product of the per-stage slot
-    overlaps, which is what gets computed.
+    ``target`` is a scheme or a ``(graph, labeling)`` pair; ``A`` is the
+    stored set the target encodes.  For a scheme of several stages the
+    per-element true-answer count over all d^stages probe tuples factors
+    exactly into the product of the per-stage slot overlaps, which is what
+    gets computed.
     """
-    if isinstance(target, OneProbeScheme):
-        stages = [(target.graph, target.bitmap)]
-    elif isinstance(target, TwoProbeScheme):
-        stages = [(target.g1, target.bitmap1), (target.g2, target.bitmap2)]
-    elif isinstance(target, BmrvScheme):
-        stages = [(target.graph, target.bits)]
+    if isinstance(target, Scheme):
+        stages = [(st.graph, st.bitmap) for st in target.stages]
     else:
         g, lab = target
         stages = [(g, lab.bits if isinstance(lab, Labeling) else lab)]
@@ -76,28 +71,15 @@ def error_profile(target, A, budget: int | None = None) -> ErrorProfile:
         counts = slot_overlap_counts(g, bm.as_bool_array(), rows)
         true_rate = true_rate * [Fraction(int(c), d) for c in counts]
 
-    member = np.zeros(m, dtype=bool)
-    A = sorted(set(A))
-    member[A] = True
-
-    histogram = Counter()
-    max_member = Fraction(0)
-    max_nonmember = Fraction(0)
-    false_negatives = 0
-    per_element = []
-    for x in range(m):
-        err = 1 - true_rate[x] if member[x] else true_rate[x]
-        per_element.append(err)
-        histogram[err] += 1
-        if member[x]:
-            if err > max_member:
-                max_member = err
-            if err > 0:
-                false_negatives += 1
-        elif err > max_nonmember:
-            max_nonmember = err
-    return ErrorProfile(max_member, max_nonmember, dict(histogram),
-                        false_negatives, tuple(per_element))
+    members = set(A)
+    per_element = tuple(1 - rate if x in members else rate
+                        for x, rate in enumerate(true_rate))
+    member_errors = [per_element[x] for x in sorted(members)]
+    nonmember_errors = [err for x, err in enumerate(per_element) if x not in members]
+    return ErrorProfile(max(member_errors, default=Fraction(0)),
+                        max(nonmember_errors, default=Fraction(0)),
+                        dict(Counter(per_element)),
+                        sum(err > 0 for err in member_errors), per_element)
 
 
 def verify_expander(g: ExplicitGraph, k_max: int, delta,
@@ -126,8 +108,6 @@ def kwise_uniformity_check(field: FieldSpec, indep_k: int, points) -> bool:
     Over all |F|^indep_k seeds, the output tuples on the given distinct
     points must cover (F)^len(points) with equal multiplicity.
     """
-    from .gf import seed_from_index
-
     if field.width_bits != 3:
         raise ValueError("exhaustive check supports width 3 only")
     if indep_k > 3:

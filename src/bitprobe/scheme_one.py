@@ -9,51 +9,22 @@ slot_overlap/d < eps.
 """
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .bits import Bitmap
-from .gf import GF2_64, FieldSpec, PolySeed, default_indep_k, draw_seed
-from .graph import GraphParams, SeededGraph, derive_params, neighbor, neighborhood_bitmap
-from .reduction import check_strong_reduction, probe_overlap
-
-DEFAULT_MAX_RETRIES = 64
+from . import scheme
+from .gf import GF2_64, FieldSpec
+from .graph import GraphParams, SeededGraph, neighborhood_bitmap
+from .reduction import check_strong_reduction
+from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
 
 
-class RetriesExhausted(Exception):
-    """Every candidate seed failed verification."""
+class OneProbeScheme(Scheme):
+    """One stage whose bitmap is the indicator of Gamma(A)."""
 
-    def __init__(self, attempts: int, detail: str = "no candidate seed accepted"):
-        self.attempts = attempts
-        self.failures = attempts
-        super().__init__(f"{detail} after {attempts} attempts "
-                         f"(failure rate {attempts}/{attempts})")
-
-
-def resolve_probe(probe_src, d: int) -> int:
-    """A probe index: either given outright or drawn from an rng."""
-    if isinstance(probe_src, int):
-        if not 0 <= probe_src < d:
-            raise ValueError(f"probe index {probe_src} out of range [0, {d})")
-        return probe_src
-    return probe_src.randrange(d)
-
-
-@dataclass(frozen=True)
-class OneProbeScheme:
-    params: GraphParams
-    seed: PolySeed
-    bitmap: Bitmap
-    retries_used: int
-    master_seed: int = 0
+    KIND = 1
 
     @property
     def graph(self) -> SeededGraph:
-        return SeededGraph(self.params, self.seed)
-
-    @property
-    def eps(self) -> Fraction:
-        return self.params.eps
+        return self.stages[0].graph
 
 
 def encode_with_params(A, params: GraphParams, *, indep_k: int,
@@ -61,47 +32,19 @@ def encode_with_params(A, params: GraphParams, *, indep_k: int,
                        max_retries: int = DEFAULT_MAX_RETRIES,
                        field: FieldSpec = GF2_64) -> OneProbeScheme:
     """Retry loop over explicit params; `encode` derives them first."""
-    A = sorted(set(A))
-    if A and (A[0] < 0 or A[-1] >= params.m):
-        raise ValueError("element out of range [0, m)")
-    if len(A) > params.n_cap:
-        raise ValueError(f"|A| = {len(A)} exceeds n_cap = {params.n_cap}")
-    rng = random.Random(master_seed)
-    for attempt in range(1, max_retries + 1):
-        seed = draw_seed(rng, indep_k, field)
-        g = SeededGraph(params, seed)
-        report = check_strong_reduction(g, A, params.eps, scope=None)
-        if report.holds:
-            return OneProbeScheme(params, seed, neighborhood_bitmap(g, A),
-                                  attempt, master_seed)
-    raise RetriesExhausted(max_retries, "strong reduction failed for every seed")
+    A = check_set(A, params)
+    g, _, retries = search(
+        random.Random(master_seed), params, indep_k, field, max_retries,
+        lambda g: check_strong_reduction(g, A, params.eps, scope=None).holds or None,
+        "strong reduction failed for every seed")
+    return OneProbeScheme((Stage(g, neighborhood_bitmap(g, A), retries),), master_seed)
 
 
-def encode(A, universe_bits: int, eps, *, n_cap: int | None = None,
-           indep_k: int | None = None, master_seed: int = 0,
-           max_retries: int = DEFAULT_MAX_RETRIES,
-           field: FieldSpec = GF2_64) -> OneProbeScheme:
-    """Build the scheme for A; deterministic given its arguments."""
-    A = sorted(set(A))
-    if n_cap is None:
-        n_cap = max(len(A), 1)
-    params = derive_params(universe_bits, n_cap, Fraction(eps), field)
-    if indep_k is None:
-        indep_k = default_indep_k(universe_bits)
-    return encode_with_params(A, params, indep_k=indep_k, master_seed=master_seed,
-                              max_retries=max_retries, field=field)
+def encode(A, universe_bits: int, eps, **options) -> OneProbeScheme:
+    """Build the scheme for A; the options are those of `scheme.encode`."""
+    return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
 
 
 def query(sch: OneProbeScheme, x: int, probe_src) -> bool:
     """Answer "x in A?" with a single bit read from the stored bitmap."""
-    if not 0 <= x < sch.params.m:
-        raise ValueError(f"element {x} out of range [0, {sch.params.m})")
-    i = resolve_probe(probe_src, sch.params.d)
-    return bool(sch.bitmap.get(neighbor(sch.graph, x, i)))
-
-
-def exact_error(sch: OneProbeScheme, x: int) -> Fraction:
-    """Exact probability that query(x) answers true, over a uniform probe."""
-    if not 0 <= x < sch.params.m:
-        raise ValueError(f"element {x} out of range [0, {sch.params.m})")
-    return Fraction(probe_overlap(sch.graph, x, sch.bitmap), sch.params.d)
+    return scheme.query(sch, x, probe_src)

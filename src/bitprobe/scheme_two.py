@@ -14,21 +14,12 @@ decodable graph could be dropped in.
 """
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .bits import Bitmap
-from .gf import GF2_64, FieldSpec, PolySeed, default_indep_k, draw_seed
-from .graph import (
-    Graph,
-    GraphParams,
-    SeededGraph,
-    derive_params,
-    neighbor,
-    neighborhood_bitmap,
-)
-from .reduction import check_strong_reduction, probe_overlap
-from .scheme_one import DEFAULT_MAX_RETRIES, RetriesExhausted, resolve_probe
+from . import scheme
+from .gf import GF2_64, FieldSpec
+from .graph import Graph, GraphParams, SeededGraph, neighborhood_bitmap
+from .reduction import check_strong_reduction
+from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
 
 
 def compute_misclassified(g1: Graph, A, eps) -> list:
@@ -36,103 +27,50 @@ def compute_misclassified(g1: Graph, A, eps) -> list:
     return list(check_strong_reduction(g1, A, eps, scope=None).violating)
 
 
-@dataclass(frozen=True)
-class TwoProbeScheme:
-    params: GraphParams
-    seed1: PolySeed
-    bitmap1: Bitmap
-    seed2: PolySeed
-    bitmap2: Bitmap
-    w_size: int
-    retries_stage1: int
-    retries_stage2: int
-    master_seed: int = 0
+class TwoProbeScheme(Scheme):
+    """Two stages, each bitmap the indicator of Gamma(A) in its own graph."""
+
+    KIND = 2
+    STAGES = 2
 
     @property
     def g1(self) -> SeededGraph:
-        return SeededGraph(self.params, self.seed1)
+        return self.stages[0].graph
 
     @property
     def g2(self) -> SeededGraph:
-        return SeededGraph(self.params, self.seed2)
-
-    @property
-    def eps(self) -> Fraction:
-        return self.params.eps
+        return self.stages[1].graph
 
 
 def encode_with_params(A, params: GraphParams, *, indep_k: int,
                        master_seed: int = 0,
                        max_retries: int = DEFAULT_MAX_RETRIES,
                        field: FieldSpec = GF2_64) -> TwoProbeScheme:
-    A = sorted(set(A))
-    if A and (A[0] < 0 or A[-1] >= params.m):
-        raise ValueError("element out of range [0, m)")
-    if len(A) > params.n_cap:
-        raise ValueError(f"|A| = {len(A)} exceeds n_cap = {params.n_cap}")
+    A = check_set(A, params)
     rng = random.Random(master_seed)
 
-    g1 = w = None
-    retries1 = 0
-    for attempt in range(1, max_retries + 1):
-        seed1 = draw_seed(rng, indep_k, field)
-        cand = SeededGraph(params, seed1)
-        cand_w = compute_misclassified(cand, A, params.eps)
-        if len(cand_w) <= len(A) // 2:
-            g1, w, retries1 = cand, cand_w, attempt
-            break
-    if g1 is None:
-        raise RetriesExhausted(max_retries, "stage 1: |W| bound failed for every seed")
+    def few_misclassified(g):
+        w = compute_misclassified(g, A, params.eps)
+        return w if len(w) <= len(A) // 2 else None
 
-    for attempt in range(1, max_retries + 1):
-        seed2 = draw_seed(rng, indep_k, field)
-        g2 = SeededGraph(params, seed2)
-        if check_strong_reduction(g2, A, params.eps, scope=w).holds:
-            return TwoProbeScheme(params, g1.seed, neighborhood_bitmap(g1, A),
-                                  seed2, neighborhood_bitmap(g2, A),
-                                  len(w), retries1, attempt, master_seed)
-    raise RetriesExhausted(max_retries,
-                           "stage 2: restricted reduction failed for every seed")
+    g1, w, retries1 = search(rng, params, indep_k, field, max_retries, few_misclassified,
+                             "stage 1: |W| bound failed for every seed")
+    g2, _, retries2 = search(
+        rng, params, indep_k, field, max_retries,
+        lambda g: check_strong_reduction(g, A, params.eps, scope=w).holds or None,
+        "stage 2: restricted reduction failed for every seed")
+    return TwoProbeScheme((Stage(g1, neighborhood_bitmap(g1, A), retries1),
+                           Stage(g2, neighborhood_bitmap(g2, A), retries2)),
+                          master_seed, len(w))
 
 
-def encode(A, universe_bits: int, eps, *, n_cap: int | None = None,
-           indep_k: int | None = None, master_seed: int = 0,
-           max_retries: int = DEFAULT_MAX_RETRIES,
-           field: FieldSpec = GF2_64) -> TwoProbeScheme:
-    A = sorted(set(A))
-    if n_cap is None:
-        n_cap = max(len(A), 1)
-    params = derive_params(universe_bits, n_cap, Fraction(eps), field)
-    if indep_k is None:
-        indep_k = default_indep_k(universe_bits)
-    return encode_with_params(A, params, indep_k=indep_k, master_seed=master_seed,
-                              max_retries=max_retries, field=field)
-
-
-def _resolve_pair(probe_src, d: int):
-    if isinstance(probe_src, tuple):
-        i1, i2 = probe_src
-        return resolve_probe(i1, d), resolve_probe(i2, d)
-    return probe_src.randrange(d), probe_src.randrange(d)
+def encode(A, universe_bits: int, eps, **options) -> TwoProbeScheme:
+    """Build the scheme for A; the options are those of `scheme.encode`."""
+    return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
 
 
 def query(sch: TwoProbeScheme, x: int, probe_src, short_circuit: bool = True) -> bool:
     """AND of one bit from each stage; at most two reads, one if the first
     bit is 0 and short-circuiting is on.  Both probe indices are drawn up
     front either way (the pair is non-adaptive)."""
-    if not 0 <= x < sch.params.m:
-        raise ValueError(f"element {x} out of range [0, {sch.params.m})")
-    i1, i2 = _resolve_pair(probe_src, sch.params.d)
-    first = sch.bitmap1.get(neighbor(sch.g1, x, i1))
-    if short_circuit and not first:
-        return False
-    second = sch.bitmap2.get(neighbor(sch.g2, x, i2))
-    return bool(first and second)
-
-
-def exact_error(sch: TwoProbeScheme, x: int) -> Fraction:
-    """Exact probability that query(x) answers true over uniform probes."""
-    d = sch.params.d
-    p1 = Fraction(probe_overlap(sch.g1, x, sch.bitmap1), d)
-    p2 = Fraction(probe_overlap(sch.g2, x, sch.bitmap2), d)
-    return p1 * p2
+    return scheme.query(sch, x, probe_src, short_circuit)

@@ -15,17 +15,19 @@ Layout (all integers little-endian):
     field_width     u8
     master_seed     u64
     --- 40-byte header ends ---
-    n_cap           u32
-    retries         u32            kinds 1 and 3
-    retries1/retries2/w_size  3*u32   kind 2
+    scalars         u32 each: n_cap, then retries per stage, then
+                    w_size (|W|) when there is more than one stage
     --- sections ---
     seed section    count:u32 (= indep_k), then count elements of
                     ceil(field_width/8) bytes each, little-endian
     bitmap section  nbits:u64 (= 2^log2_s), then ceil(nbits/8) bytes,
                     bits packed LSB-first within bytes
-    kind 1, 3:  one seed section, one bitmap section
-    kind 2:     seed1, seed2, bitmap1, bitmap2
+    every seed section in stage order, then every bitmap section:
+    kind 1, 3:  seed, bitmap;  kind 2:  seed1, seed2, bitmap1, bitmap2
 
+d and log2_s must be the sizing that derive_params gives for universe_bits,
+n_cap, eps and the field: a file with a smaller d would claim eps but
+deliver a weaker bound, so neither save nor load accepts one.
 Every section offset is computable from the header alone, so the bitmap
 can be read without touching the seed and vice versa.
 """
@@ -36,7 +38,8 @@ from fractions import Fraction
 from .bits import Bitmap
 from .bmrv import BmrvScheme
 from .gf import FIELDS_BY_WIDTH, PolySeed
-from .graph import GraphParams
+from .graph import GraphParams, SeededGraph, derive_params
+from .scheme import Scheme, Stage
 from .scheme_one import OneProbeScheme
 from .scheme_two import TwoProbeScheme
 
@@ -45,9 +48,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHBIIIIIIBQ")
 HEADER_SIZE = _HEADER.size  # 40
 
-KIND_ONE_PROBE = 1
-KIND_TWO_PROBE = 2
-KIND_BMRV = 3
+_CLASSES = {cls.KIND: cls for cls in (OneProbeScheme, TwoProbeScheme, BmrvScheme)}
 
 
 class SchemeFileError(Exception):
@@ -76,13 +77,6 @@ def _u32(value: int, name: str) -> int:
     return value
 
 
-def _universe_bits(params: GraphParams) -> int:
-    u = params.m.bit_length() - 1
-    if 1 << u != params.m:
-        raise InvariantViolation(f"m={params.m} is not a power of two")
-    return u
-
-
 def _elem_bytes(width: int) -> int:
     return (width + 7) >> 3
 
@@ -98,51 +92,57 @@ def _pack_bitmap(bm: Bitmap) -> bytes:
     return struct.pack("<Q", bm.nbits) + bm.to_bytes()
 
 
-def _header_bytes(kind, params, indep_k, field_width, master_seed) -> bytes:
-    eps = params.eps
-    return _HEADER.pack(
-        MAGIC, FORMAT_VERSION, kind,
-        _u32(_universe_bits(params), "universe_bits"),
-        _u32(params.log2_s, "log2_s"),
-        _u32(params.d, "d"),
-        _u32(eps.numerator, "eps_num"),
-        _u32(eps.denominator, "eps_den"),
-        _u32(indep_k, "indep_k"),
-        field_width,
-        master_seed,
-    )
+def _sized(universe_bits: int, n_cap: int, eps: Fraction, field_width: int,
+           d: int, log2_s: int) -> GraphParams:
+    """The graph shape of a file, which must be the derived sizing."""
+    try:
+        params = derive_params(universe_bits, n_cap, eps, FIELDS_BY_WIDTH[field_width])
+    except ValueError as exc:
+        raise InvariantViolation(str(exc))
+    if (d, log2_s) != (params.d, params.log2_s):
+        raise InvariantViolation(
+            f"d={d}, log2_s={log2_s} differ from the derived d={params.d}, "
+            f"log2_s={params.log2_s}")
+    return params
 
 
-def save(scheme) -> bytes:
+def _scalar_names(stages: int) -> list:
+    """The u32 scalars after the header: n_cap, retries per stage, |W|."""
+    return ["n_cap"] + ["retries"] * stages + (["w_size"] if stages > 1 else [])
+
+
+def save(scheme: Scheme) -> bytes:
     """Serialize a scheme; equal schemes produce identical bytes."""
+    if type(scheme) not in _CLASSES.values():
+        raise TypeError(f"cannot serialize {type(scheme).__name__}")
     if not 0 <= scheme.master_seed < 1 << 64:
         raise InvariantViolation("master_seed does not fit in u64")
     params = scheme.params
-    if isinstance(scheme, OneProbeScheme):
-        head = _header_bytes(KIND_ONE_PROBE, params, scheme.seed.indep_k,
-                             scheme.seed.field.width_bits, scheme.master_seed)
-        scalars = struct.pack("<II", _u32(params.n_cap, "n_cap"),
-                              _u32(scheme.retries_used, "retries"))
-        return head + scalars + _pack_seed(scheme.seed) + _pack_bitmap(scheme.bitmap)
-    if isinstance(scheme, TwoProbeScheme):
-        if scheme.seed1.indep_k != scheme.seed2.indep_k:
-            raise InvariantViolation("stage seeds disagree on indep_k")
-        head = _header_bytes(KIND_TWO_PROBE, params, scheme.seed1.indep_k,
-                             scheme.seed1.field.width_bits, scheme.master_seed)
-        scalars = struct.pack("<IIII", _u32(params.n_cap, "n_cap"),
-                              _u32(scheme.retries_stage1, "retries1"),
-                              _u32(scheme.retries_stage2, "retries2"),
-                              _u32(scheme.w_size, "w_size"))
-        return (head + scalars
-                + _pack_seed(scheme.seed1) + _pack_seed(scheme.seed2)
-                + _pack_bitmap(scheme.bitmap1) + _pack_bitmap(scheme.bitmap2))
-    if isinstance(scheme, BmrvScheme):
-        head = _header_bytes(KIND_BMRV, params, scheme.seed.indep_k,
-                             scheme.seed.field.width_bits, scheme.master_seed)
-        scalars = struct.pack("<II", _u32(params.n_cap, "n_cap"),
-                              _u32(scheme.retries_used, "retries"))
-        return head + scalars + _pack_seed(scheme.seed) + _pack_bitmap(scheme.bits)
-    raise TypeError(f"cannot serialize {type(scheme).__name__}")
+    seeds = [st.graph.seed for st in scheme.stages]
+    if len({(seed.indep_k, seed.field) for seed in seeds}) != 1:
+        raise InvariantViolation("stage seeds disagree on indep_k or the field")
+    universe_bits = params.m.bit_length() - 1
+    if params.m != 1 << universe_bits:
+        raise InvariantViolation(f"m={params.m} is not a power of two")
+    field_width = seeds[0].field.width_bits
+    _sized(universe_bits, params.n_cap, params.eps, field_width, params.d, params.log2_s)
+    head = _HEADER.pack(
+        MAGIC, FORMAT_VERSION, scheme.KIND,
+        _u32(universe_bits, "universe_bits"),
+        _u32(params.log2_s, "log2_s"),
+        _u32(params.d, "d"),
+        _u32(params.eps.numerator, "eps_num"),
+        _u32(params.eps.denominator, "eps_den"),
+        _u32(seeds[0].indep_k, "indep_k"),
+        field_width,
+        scheme.master_seed,
+    )
+    values = ([params.n_cap] + [st.retries for st in scheme.stages]
+              + ([scheme.w_size] if len(seeds) > 1 else []))
+    scalars = b"".join(struct.pack("<I", _u32(value, name))
+                       for value, name in zip(values, _scalar_names(len(seeds))))
+    return (head + scalars + b"".join(_pack_seed(seed) for seed in seeds)
+            + b"".join(_pack_bitmap(st.bitmap) for st in scheme.stages))
 
 
 def _parse_header(data: bytes) -> dict:
@@ -159,7 +159,7 @@ def _parse_header(data: bytes) -> dict:
         raise TruncatedSection("truncated header")
     (_, _, kind, universe_bits, log2_s, d, eps_num, eps_den, indep_k,
      field_width, master_seed) = _HEADER.unpack_from(data, 0)
-    if kind not in (KIND_ONE_PROBE, KIND_TWO_PROBE, KIND_BMRV):
+    if kind not in _CLASSES:
         raise InvariantViolation(f"unknown kind {kind}")
     if eps_den == 0 or eps_num == 0 or eps_num >= eps_den:
         raise InvariantViolation(f"eps = {eps_num}/{eps_den} is not in (0, 1)")
@@ -181,17 +181,17 @@ def _parse_header(data: bytes) -> dict:
 def section_layout(data: bytes) -> list:
     """(name, offset, length) of every region, from the header alone."""
     h = _parse_header(data)
-    two = h["kind"] == KIND_TWO_PROBE
+    stages = _CLASSES[h["kind"]].STAGES
     seed_len = 4 + h["indep_k"] * _elem_bytes(h["field_width"])
     bitmap_len = 8 + (((1 << h["log2_s"]) + 7) >> 3)
     layout = [("header", 0, HEADER_SIZE),
-              ("scalars", HEADER_SIZE, 16 if two else 8)]
+              ("scalars", HEADER_SIZE, 4 * len(_scalar_names(stages)))]
     pos = layout[-1][1] + layout[-1][2]
-    names = (["seed1", "seed2", "bitmap1", "bitmap2"] if two else ["seed", "bitmap"])
-    for name in names:
-        length = seed_len if name.startswith("seed") else bitmap_len
-        layout.append((name, pos, length))
-        pos += length
+    suffixes = [""] if stages == 1 else [str(i) for i in range(1, stages + 1)]
+    for name, length in [("seed", seed_len), ("bitmap", bitmap_len)]:
+        for suffix in suffixes:
+            layout.append((name + suffix, pos, length))
+            pos += length
     return layout
 
 
@@ -236,32 +236,19 @@ def _read_bitmap(r: _Reader, h: dict) -> Bitmap:
     return Bitmap.from_bytes(nbits, r.take((nbits + 7) >> 3, "bitmap bytes"))
 
 
-def load(data: bytes):
+def load(data: bytes) -> Scheme:
     """Parse a scheme file back into its scheme object."""
     h = _parse_header(data)
+    cls = _CLASSES[h["kind"]]
     r = _Reader(data, HEADER_SIZE)
-    n_cap = r.u32("n_cap")
-    m = 1 << h["universe_bits"]
-    if not 1 <= n_cap <= m:
-        raise InvariantViolation(f"n_cap={n_cap} outside [1, m]")
-    params = GraphParams(m=m, n_cap=n_cap, s=1 << h["log2_s"],
-                         log2_s=h["log2_s"], d=h["d"], eps=h["eps"])
-    if h["kind"] == KIND_TWO_PROBE:
-        retries1 = r.u32("retries1")
-        retries2 = r.u32("retries2")
-        w_size = r.u32("w_size")
-        seed1 = _read_seed(r, h)
-        seed2 = _read_seed(r, h)
-        bm1 = _read_bitmap(r, h)
-        bm2 = _read_bitmap(r, h)
-        scheme = TwoProbeScheme(params, seed1, bm1, seed2, bm2, w_size,
-                                retries1, retries2, h["master_seed"])
-    else:
-        retries = r.u32("retries")
-        seed = _read_seed(r, h)
-        bm = _read_bitmap(r, h)
-        cls = OneProbeScheme if h["kind"] == KIND_ONE_PROBE else BmrvScheme
-        scheme = cls(params, seed, bm, retries, h["master_seed"])
+    n_cap, *retries = [r.u32(name) for name in _scalar_names(cls.STAGES)]
+    w_size = retries.pop() if cls.STAGES > 1 else 0
+    params = _sized(h["universe_bits"], n_cap, h["eps"], h["field_width"],
+                    h["d"], h["log2_s"])
+    seeds = [_read_seed(r, h) for _ in range(cls.STAGES)]
+    bitmaps = [_read_bitmap(r, h) for _ in range(cls.STAGES)]
     if r.pos != len(data):
         raise InvariantViolation(f"{len(data) - r.pos} trailing bytes after sections")
-    return scheme
+    stages = tuple(Stage(SeededGraph(params, seed), bm, n)
+                   for seed, bm, n in zip(seeds, bitmaps, retries))
+    return cls(stages, h["master_seed"], w_size)

@@ -4,6 +4,7 @@ arithmetic from scratch so library bugs cannot hide behind themselves.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,12 @@ class CountingBitmap(Bitmap):
     def get(self, i):
         self.reads += 1
         return super().get(i)
+
+
+def with_bitmaps(sch, *bitmaps):
+    """The scheme with its stage bitmaps replaced, in stage order."""
+    stages = tuple(replace(st, bitmap=bm) for st, bm in zip(sch.stages, bitmaps))
+    return replace(sch, stages=stages)
 
 
 def toy_params(m, s, d, eps, n_cap=1):

@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +33,7 @@ from helpers import (
     TINY_K_MAX,
     CountingBitmap,
     verified_tiny_expanders,
+    with_bitmaps,
 )
 
 GRID_U = (10, 12, 14)
@@ -125,7 +125,7 @@ def test_criterion_2_two_probe_correctness(store, capsys):
             _write_set(store, tag, A)
             # one-sidedness: every member probe slot is marked in both stages
             rows = list(A)
-            for g, bm in ((sch.g1, sch.bitmap1), (sch.g2, sch.bitmap2)):
+            for g, bm in ((sch.g1, sch.stages[0].bitmap), (sch.g2, sch.stages[1].bitmap)):
                 counts = slot_overlap_counts(g, bm.as_bool_array(), rows)
                 if not (counts == sch.params.d).all():
                     failures.append((idx, u, n, _eps_str(eps), "member slot unmarked"))
@@ -198,17 +198,17 @@ def test_criterion_5_probe_accounting(capsys):
 
     A = sorted(rng.sample(range(1 << 10), 4))
     one = scheme_one.encode(A, 10, Fraction(1, 2), indep_k=INDEP_K, master_seed=1)
-    counting = CountingBitmap.wrap(one.bitmap)
-    inst = replace(one, bitmap=counting)
+    counting = CountingBitmap.wrap(one.stages[0].bitmap)
+    inst = with_bitmaps(one, counting)
     for _ in range(queries):
         scheme_one.query(inst, rng.randrange(1 << 10), rng)
     ok &= counting.reads == queries
     detail.append(f"one-probe: {counting.reads} reads / {queries} queries")
 
     two = scheme_two.encode(A, 10, Fraction(1, 2), indep_k=INDEP_K, master_seed=2)
-    c1 = CountingBitmap.wrap(two.bitmap1)
-    c2 = CountingBitmap.wrap(two.bitmap2)
-    inst2 = replace(two, bitmap1=c1, bitmap2=c2)
+    c1 = CountingBitmap.wrap(two.stages[0].bitmap)
+    c2 = CountingBitmap.wrap(two.stages[1].bitmap)
+    inst2 = with_bitmaps(two, c1, c2)
     worst = 0
     for _ in range(queries):
         before = c1.reads + c2.reads

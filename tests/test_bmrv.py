@@ -184,9 +184,9 @@ def test_verify_labeling_trivial_labelings():
 def test_encode_query_roundtrip_on_seeded_graph():
     A = [3, 9, 21]
     sch = bmrv.encode(A, 6, Fraction(1, 2), indep_k=6, master_seed=7)
-    assert sch.retries_used >= 1
+    assert sch.stages[0].retries >= 1
     for x in A:
         hits = sum(bmrv.query(sch, x, i) for i in range(sch.params.d))
         assert hits >= sch.params.d - sch.params.d * Fraction(1, 2)
-    rep = verify_labeling(sch.graph, A, Fraction(1, 2), sch.bits)
+    rep = verify_labeling(sch.graph, A, Fraction(1, 2), sch.stages[0].bitmap)
     assert rep.passed

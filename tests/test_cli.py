@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -10,6 +9,8 @@ from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
 from bitprobe.storage import section_layout
+
+from helpers import with_bitmaps
 
 
 def write_set(tmp_path, elements, name="set.txt"):
@@ -44,7 +45,7 @@ def test_build_empty_set(tmp_path, capsys):
     out, summary = build(tmp_path, [], capsys, u=6)
     assert summary["retries_used"] == "1"
     sch = storage.load(open(out, "rb").read())
-    assert sch.bitmap.popcount() == 0
+    assert sch.stages[0].bitmap.popcount() == 0
 
 
 def test_build_is_byte_identical_across_runs(tmp_path, capsys):
@@ -217,7 +218,7 @@ def test_bmrv_verify_is_two_sided(tmp_path, capsys):
 def test_bench_status_checks_the_guarantee(tmp_path, capsys, monkeypatch):
     def encode_empty(*args, **kwargs):
         sch = scheme_one.encode(*args, **kwargs)
-        return dataclasses.replace(sch, bitmap=Bitmap(sch.params.s))
+        return with_bitmaps(sch, Bitmap(sch.params.s))
 
     monkeypatch.setitem(cli._ENCODERS, "one", encode_empty)
     rc = main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
@@ -242,3 +243,56 @@ def test_bench_two_probe_cell(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     # d = 24, s = next_pow2(2 * 24^2 * 2) = 4096; two stages
     assert int(rows[0]["bitmap_bits"]) == 2 * 4096
+
+
+# stdout of `query` on the instance of GOLDEN_SHA256 in test_storage.py at
+# k=6, recorded before the kinds shared one query path: the text, the probe
+# indices drawn from --master-seed and the positions they read must not move.
+GOLDEN_QUERY = {
+    ("one", 17, "--master-seed 5"):
+        "answer=true probe_index=19 bit_position=3077\n",
+    ("one", 17, "--exact"):
+        "answer=true probe_index=12 bit_position=2426\npositive_rate=1/1\n",
+    ("one", 17, "--trials 64"):
+        "answer=true probe_index=12 bit_position=2426\npositive_rate=1.0 trials=64\n",
+    ("one", 51, "--master-seed 5"):
+        "answer=true probe_index=19 bit_position=2037\n",
+    ("one", 51, "--exact"):
+        "answer=false probe_index=12 bit_position=1474\npositive_rate=1/12\n",
+    ("one", 51, "--trials 64"):
+        "answer=false probe_index=12 bit_position=1474\npositive_rate=0.09375 trials=64\n",
+    ("two", 17, "--master-seed 5"):
+        "answer=true probe_indices=19,8 bit_positions=3077,3261\n",
+    ("two", 17, "--exact"):
+        "answer=true probe_indices=12,13 bit_positions=2426,2156\npositive_rate=1/1\n",
+    ("two", 17, "--trials 64"):
+        "answer=true probe_indices=12,13 bit_positions=2426,2156\npositive_rate=1.0 trials=64\n",
+    ("two", 2, "--master-seed 5"):
+        "answer=false probe_indices=19,8 bit_positions=4518,5144\n",
+    ("two", 2, "--exact"):
+        "answer=false probe_indices=12,13 bit_positions=2276,1463\npositive_rate=1/576\n",
+    ("two", 2, "--trials 64"):
+        "answer=false probe_indices=12,13 bit_positions=2276,1463\npositive_rate=0.015625 trials=64\n",
+    ("bmrv", 17, "--master-seed 5"):
+        "answer=true probe_index=19 bit_position=3077\n",
+    ("bmrv", 17, "--exact"):
+        "answer=true probe_index=12 bit_position=2426\npositive_rate=1/1\n",
+    ("bmrv", 17, "--trials 64"):
+        "answer=true probe_index=12 bit_position=2426\npositive_rate=1.0 trials=64\n",
+    ("bmrv", 59, "--master-seed 5"):
+        "answer=false probe_index=19 bit_position=7270\n",
+    ("bmrv", 59, "--exact"):
+        "answer=false probe_index=12 bit_position=4997\npositive_rate=1/8\n",
+    ("bmrv", 59, "--trials 64"):
+        "answer=false probe_index=12 bit_position=4997\npositive_rate=0.171875 trials=64\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["one", "two", "bmrv"])
+def test_query_output_matches_golden(tmp_path, capsys, kind):
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, kind=kind, u=6,
+                   extra=("--master-seed", "7"))
+    cases = {key: text for key, text in GOLDEN_QUERY.items() if key[0] == kind}
+    for (_, x, flags), text in cases.items():
+        assert main(["query", out, str(x), *flags.split()]) == 0
+        assert capsys.readouterr().out == text

@@ -14,7 +14,7 @@ from bitprobe.oracle import (
     verify_expander,
 )
 from bitprobe.reduction import check_reduction_property
-from bitprobe.scheme_one import exact_error
+from bitprobe.scheme import exact_error
 
 from helpers import (
     TINY_DELTA,
@@ -62,7 +62,7 @@ def test_profile_of_two_probe_scheme():
     for x in range(0, 128, 17):
         if x in set(A):
             continue
-        assert prof.per_element[x] == scheme_two.exact_error(sch, x)
+        assert prof.per_element[x] == exact_error(sch, x)
 
 
 def test_profile_of_bmrv_labeling_can_be_two_sided():

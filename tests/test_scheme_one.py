@@ -1,14 +1,14 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from bitprobe import scheme_one
 from bitprobe.graph import GraphParams
-from bitprobe.scheme_one import RetriesExhausted, encode, exact_error, query
+from bitprobe.scheme import RetriesExhausted, exact_error
+from bitprobe.scheme_one import encode, query
 
-from helpers import CountingBitmap
+from helpers import CountingBitmap, with_bitmaps
 
 
 def small_scheme(u=8, n=4, eps=Fraction(1, 2), master_seed=11):
@@ -19,8 +19,8 @@ def small_scheme(u=8, n=4, eps=Fraction(1, 2), master_seed=11):
 
 def test_empty_set_accepts_first_seed_with_zero_bitmap():
     sch = encode([], 6, Fraction(1, 2), indep_k=4, master_seed=5)
-    assert sch.retries_used == 1
-    assert sch.bitmap.popcount() == 0
+    assert sch.stages[0].retries == 1
+    assert sch.stages[0].bitmap.popcount() == 0
     for x in (0, 13, 63):
         for i in range(sch.params.d):
             assert not query(sch, x, i)
@@ -55,7 +55,7 @@ def test_encode_is_deterministic():
     s2 = encode(A, 8, Fraction(1, 4), indep_k=5, master_seed=21)
     assert s1 == s2
     s3 = encode(A, 8, Fraction(1, 4), indep_k=5, master_seed=22)
-    assert s3.seed != s1.seed or s3.bitmap != s1.bitmap
+    assert s3.graph.seed != s1.graph.seed or s3.stages[0].bitmap != s1.stages[0].bitmap
 
 
 def test_accepted_seed_passes_strong_reduction():
@@ -77,8 +77,8 @@ def test_retries_exhausted_on_impossible_params():
 
 def test_query_reads_exactly_one_bit():
     A, sch = small_scheme()
-    counting = CountingBitmap.wrap(sch.bitmap)
-    instrumented = replace(sch, bitmap=counting)
+    counting = CountingBitmap.wrap(sch.stages[0].bitmap)
+    instrumented = with_bitmaps(sch, counting)
     rng = random.Random(0)
     for k in range(200):
         query(instrumented, rng.randrange(sch.params.m), rng)
@@ -108,5 +108,5 @@ def test_capacity_and_range_validation():
 def test_space_shape_of_encoded_scheme():
     A, sch = small_scheme(u=10, n=4)
     p = sch.params
-    assert len(sch.bitmap) == p.s <= 4 * p.d * p.d * p.n_cap
-    assert len(sch.seed.coeffs) * sch.seed.field.width_bits == 6 * 64
+    assert len(sch.stages[0].bitmap) == p.s <= 4 * p.d * p.d * p.n_cap
+    assert len(sch.graph.seed.coeffs) * sch.graph.seed.field.width_bits == 6 * 64

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,10 +7,10 @@ import pytest
 from bitprobe import scheme_two
 from bitprobe.graph import GraphParams, neighborhood_bitmap
 from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_overlap
-from bitprobe.scheme_one import RetriesExhausted
-from bitprobe.scheme_two import compute_misclassified, encode, exact_error, query
+from bitprobe.scheme import RetriesExhausted, exact_error
+from bitprobe.scheme_two import compute_misclassified, encode, query
 
-from helpers import CountingBitmap, explicit_graph
+from helpers import CountingBitmap, explicit_graph, with_bitmaps
 
 # Toy cell where stage 1 routinely leaves a nonempty misclassified set:
 # m=16, s=16, d=4, eps=1/2, A of size 4, master_seed=0 gives |W| = 2.
@@ -53,10 +52,10 @@ def test_misclassified_engineered_single_vertex():
 def test_empty_set_encodes_trivially():
     sch = encode([], 6, Fraction(1, 2), indep_k=4, master_seed=1)
     assert sch.w_size == 0
-    assert sch.retries_stage1 == 1
-    assert sch.retries_stage2 == 1
-    assert sch.bitmap1.popcount() == 0
-    assert sch.bitmap2.popcount() == 0
+    assert sch.stages[0].retries == 1
+    assert sch.stages[1].retries == 1
+    assert sch.stages[0].bitmap.popcount() == 0
+    assert sch.stages[1].bitmap.popcount() == 0
     assert not query(sch, 17, (0, 0))
 
 
@@ -65,8 +64,8 @@ def test_w_bound_and_bitmaps_exact():
     assert 0 < sch.w_size <= len(W_SET) // 2
     w = compute_misclassified(sch.g1, W_SET, sch.eps)
     assert len(w) == sch.w_size
-    assert sch.bitmap1 == neighborhood_bitmap(sch.g1, W_SET)
-    assert sch.bitmap2 == neighborhood_bitmap(sch.g2, W_SET)
+    assert sch.stages[0].bitmap == neighborhood_bitmap(sch.g1, W_SET)
+    assert sch.stages[1].bitmap == neighborhood_bitmap(sch.g2, W_SET)
     # stage 2 verified the restricted property on W only
     report = check_strong_reduction(sch.g2, W_SET, sch.eps, scope=w)
     assert report.holds
@@ -96,19 +95,19 @@ def test_exact_error_factorizes_and_stays_below_eps():
             assert rate == 1
             continue
         assert rate < sch.eps
-        ov2 = probe_overlap(sch.g2, x, sch.bitmap2)
+        ov2 = probe_overlap(sch.g2, x, sch.stages[1].bitmap)
         if x in w:
             # the second stage carries vertices the first stage misclassified
             assert ov2 < t
         else:
-            assert probe_overlap(sch.g1, x, sch.bitmap1) < t
+            assert probe_overlap(sch.g1, x, sch.stages[0].bitmap) < t
 
 
 def test_query_reads_at_most_two_bits():
     sch = w_scheme()
-    c1 = CountingBitmap.wrap(sch.bitmap1)
-    c2 = CountingBitmap.wrap(sch.bitmap2)
-    instrumented = replace(sch, bitmap1=c1, bitmap2=c2)
+    c1 = CountingBitmap.wrap(sch.stages[0].bitmap)
+    c2 = CountingBitmap.wrap(sch.stages[1].bitmap)
+    instrumented = with_bitmaps(sch, c1, c2)
     rng = random.Random(3)
     for _ in range(300):
         before = c1.reads + c2.reads
@@ -121,7 +120,7 @@ def test_query_reads_at_most_two_bits():
     assert c1.reads + c2.reads - before == 100
     # a guaranteed first-stage zero stops after one read
     zero = next(x for x in range(sch.params.m)
-                if probe_overlap(sch.g1, x, sch.bitmap1) == 0)
+                if probe_overlap(sch.g1, x, sch.stages[0].bitmap) == 0)
     before = c1.reads + c2.reads
     assert not query(instrumented, zero, (0, 0))
     assert c1.reads + c2.reads - before == 1

@@ -1,15 +1,21 @@
+import functools
 import hashlib
 import random
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitprobe import bmrv, scheme_one, scheme_two, storage
 from bitprobe.bits import Bitmap
+from bitprobe.graph import SeededGraph
 from bitprobe.storage import (
     BadMagic,
     InvariantViolation,
+    SchemeFileError,
     TruncatedSection,
     UnsupportedVersion,
     load,
@@ -150,10 +156,10 @@ def test_section_layout_gives_random_access(make, names):
     assert total == len(blob)
     regions = {name: blob[off:off + ln] for name, off, ln in layout}
     # the bitmap payload is reachable without reading the seed section
-    bitmap = sch.bitmap if hasattr(sch, "bitmap") else sch.bitmap1
+    bitmap = sch.stages[0].bitmap
     name = "bitmap" if "bitmap" in regions else "bitmap1"
     assert regions[name][8:] == bitmap.to_bytes()
-    seed = sch.seed if hasattr(sch, "seed") else sch.seed1
+    seed = sch.stages[0].graph.seed
     sname = "seed" if "seed" in regions else "seed1"
     count = struct.unpack_from("<I", regions[sname], 0)[0]
     assert count == seed.indep_k
@@ -163,11 +169,12 @@ def test_section_layout_gives_random_access(make, names):
 
 def test_save_requires_power_of_two_universe():
     from bitprobe.gf import GF2_64, PolySeed
-    from bitprobe.graph import GraphParams
+    from bitprobe.graph import GraphParams, SeededGraph
+    from bitprobe.scheme import Stage
     from bitprobe.scheme_one import OneProbeScheme
 
     params = GraphParams(m=3, n_cap=1, s=4, log2_s=2, d=2, eps=Fraction(1, 2))
-    sch = OneProbeScheme(params, PolySeed((1,), GF2_64), Bitmap(4), 1)
+    sch = OneProbeScheme((Stage(SeededGraph(params, PolySeed((1,), GF2_64)), Bitmap(4), 1),))
     with pytest.raises(InvariantViolation):
         save(sch)
 
@@ -199,3 +206,76 @@ def test_huge_universe_bits_rejected_before_sizing():
     struct.pack_into("<I", header, 7, (1 << 32) - 1)  # universe_bits field
     with pytest.raises(InvariantViolation):
         load(bytes(header))
+
+
+# Offsets of the u32 fields of the 40-byte header.
+UNIVERSE_BITS_AT, LOG2_S_AT, D_AT = 7, 11, 15
+
+
+def test_load_and_save_reject_a_degree_other_than_the_derived_one():
+    # u=8, eps=1/2 derives d=32; with d=3 the file would still claim eps,
+    # but its members would answer false and non-members err with rate 1
+    sch = one_probe()
+    blob = bytearray(save(sch))
+    struct.pack_into("<I", blob, D_AT, 3)
+    with pytest.raises(InvariantViolation, match="derived"):
+        load(bytes(blob))
+    small = SeededGraph(replace(sch.params, d=3), sch.graph.seed)
+    with pytest.raises(InvariantViolation, match="derived"):
+        save(replace(sch, stages=(replace(sch.stages[0], graph=small),)))
+
+
+def test_load_and_save_reject_a_right_side_other_than_the_derived_one():
+    # half the derived s, with the bitmap section cut to match
+    sch = one_probe()
+    p = sch.params
+    blob = bytearray(save(sch))
+    off = dict((name, off) for name, off, _ in section_layout(bytes(blob)))["bitmap"]
+    struct.pack_into("<I", blob, LOG2_S_AT, p.log2_s - 1)
+    struct.pack_into("<Q", blob, off, p.s // 2)
+    del blob[off + 8 + p.s // 16:]
+    with pytest.raises(InvariantViolation, match="derived"):
+        load(bytes(blob))
+    half = replace(p, s=p.s // 2, log2_s=p.log2_s - 1)
+    stage = replace(sch.stages[0], graph=SeededGraph(half, sch.graph.seed),
+                    bitmap=Bitmap(half.s))
+    with pytest.raises(InvariantViolation, match="derived"):
+        save(replace(sch, stages=(stage,)))
+
+
+@functools.lru_cache(maxsize=None)
+def golden_blobs():
+    """The GOLDEN_SHA256 instances at k=6, one scheme file per kind."""
+    return tuple(save(encode([3, 17, 40, 58], 6, Fraction(1, 2), indep_k=6, master_seed=7))
+                 for encode in (scheme_one.encode, scheme_two.encode, bmrv.encode))
+
+
+U32_EXTREMES = (0, 1, 64, 65, 1 << 31, (1 << 32) - 1)
+
+
+@st.composite
+def mutated_golden_blob(draw):
+    blob = bytearray(draw(st.sampled_from(golden_blobs())))
+    scalars = section_layout(bytes(blob))[1]
+    u32_fields = [UNIVERSE_BITS_AT, LOG2_S_AT, D_AT, 19, 23, 27]
+    u32_fields += range(scalars[1], scalars[1] + scalars[2], 4)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["overwrite", "truncate", "u32"]))
+        if how == "overwrite" and blob:
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        elif how == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        elif how == "u32":
+            at = draw(st.sampled_from(u32_fields))
+            if at + 4 <= len(blob):
+                struct.pack_into("<I", blob, at, draw(st.sampled_from(U32_EXTREMES)))
+    return bytes(blob)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_golden_blob())
+def test_load_of_a_mutated_golden_file_loads_or_raises_scheme_file_error(blob):
+    try:
+        load(blob)
+    except SchemeFileError:
+        pass
