@@ -41,16 +41,14 @@ class Bitmap:
             flags[idx] = True
         return cls.from_bool_array(flags)
 
-    def _check(self, i: int) -> None:
+    def get(self, i: int) -> int:
         if not 0 <= i < self.nbits:
             raise IndexError(f"bit {i} out of range [0, {self.nbits})")
-
-    def get(self, i: int) -> int:
-        self._check(i)
         return (self._buf[i >> 3] >> (i & 7)) & 1
 
     def set(self, i: int, value: int = 1) -> None:
-        self._check(i)
+        if not 0 <= i < self.nbits:
+            raise IndexError(f"bit {i} out of range [0, {self.nbits})")
         if value:
             self._buf[i >> 3] |= 1 << (i & 7)
         else:

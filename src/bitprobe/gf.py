@@ -27,6 +27,8 @@ from functools import reduce
 import numpy as np
 
 _REDUCTION_POLYS = {3: 0x03, 8: 0x1B, 16: 0x2B, 32: 0x8D, 64: 0x1B}
+# x^w is the XOR of x^f over these f: the shifts that fold a bit above w down.
+_FOLD_SHIFTS = {w: tuple(f for f in range(w) if r >> f & 1) for w, r in _REDUCTION_POLYS.items()}
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,30 @@ def _check_element(v: int, field: FieldSpec, name: str) -> None:
 
 
 def field_mul(a: int, b: int, field: FieldSpec = GF2_64) -> int:
-    """Multiply two GF(2^b) elements.
-
-    Carry-less product over the set bits of ``b``, then reduction by the
-    field polynomial from the top degree down.
-    """
+    """Multiply two GF(2^b) elements: Horner on the polynomial a*t at t = b."""
     _check_element(a, field, "a")
     _check_element(b, field, "b")
-    prod = 0
-    while b:
-        low = b & -b
-        prod ^= a << (low.bit_length() - 1)
-        b ^= low
-    w = field.width_bits
-    full = field.reduction_poly | (1 << w)
-    for bit in range(prod.bit_length() - 1, w - 1, -1):
-        if (prod >> bit) & 1:
-            prod ^= full << (bit - w)
-    return prod
+    return _horner((0, a), b, field.width_bits)
+
+
+def _horner(coeffs, x: int, w: int) -> int:
+    """Horner over GF(2^w) for operands already in the field.  A step XORs
+    acc << s over the set bits s of x, then folds the bits from w up by the
+    reduction polynomial's shifts: twice when a fold at w = 64 overflows."""
+    x_bits = [s for s in range(x.bit_length()) if (x >> s) & 1]
+    folds = _FOLD_SHIFTS[w]
+    mask = (1 << w) - 1
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        prod = 0
+        for s in x_bits:
+            prod ^= acc << s
+        while hi := prod >> w:
+            prod &= mask
+            for f in folds:
+                prod ^= hi << f
+        acc = prod ^ c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -121,11 +129,7 @@ class PolySeed:
 def poly_eval(seed: PolySeed, x: int) -> int:
     """Evaluate the seed polynomial at a single field element (Horner)."""
     _check_element(x, seed.field, "x")
-    coeffs = seed.coeffs
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = field_mul(acc, x, seed.field) ^ c
-    return acc
+    return _horner(seed.coeffs, x, seed.field.width_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     out = np.empty_like(xs)
     flat_xs, flat_out = xs.reshape(-1), out.reshape(-1)
     field = seed.field
-    bits = tuple(i for i in range(field.width_bits) if (field.reduction_poly >> i) & 1)
+    bits = _FOLD_SHIFTS[field.width_bits]
     for lo in range(0, flat_xs.size, _CHUNK_POINTS):
         x = flat_xs[lo:lo + _CHUNK_POINTS]
         x_quarters = [_quarters(x)]

@@ -114,8 +114,11 @@ def resolve_probes(probe_src, stages: int, d: int):
     drawn from an rng in stage order."""
     if isinstance(probe_src, int):
         probe_src = (probe_src,)
-    if not isinstance(probe_src, (tuple, list)):
-        return [probe_src.randrange(d) for _ in range(stages)]
+    elif not isinstance(probe_src, (tuple, list)):
+        drawn = []  # a loop: a comprehension's frame costs more per query on 3.11
+        for _ in range(stages):
+            drawn.append(probe_src.randrange(d))
+        return drawn
     if len(probe_src) != stages:
         raise ValueError(f"{len(probe_src)} probe indices for {stages} stages")
     for i in probe_src:
@@ -128,11 +131,12 @@ def query(sch: Scheme, x: int, probe_src, short_circuit: bool = True) -> bool:
     """AND of one bit from each stage's bitmap.  The reads stop at the
     first 0 unless short_circuit is off; the probe indices are drawn up
     front either way (the probes are non-adaptive)."""
-    p = sch.params
+    stages = sch.stages
+    p = stages[0].graph.params
     if not 0 <= x < p.m:
         raise ValueError(f"element {x} out of range [0, {p.m})")
     answer = True
-    for st, i in zip(sch.stages, resolve_probes(probe_src, len(sch.stages), p.d)):
+    for st, i in zip(stages, resolve_probes(probe_src, len(stages), p.d)):
         if not st.bitmap.get(neighbor(st.graph, x, i)):
             if short_circuit:
                 return False

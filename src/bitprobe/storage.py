@@ -32,6 +32,7 @@ Every section offset is computable from the header alone, so the bitmap
 can be read without touching the seed and vice versa.
 """
 
+import math
 import struct
 from fractions import Fraction
 
@@ -161,8 +162,8 @@ def _parse_header(data: bytes) -> dict:
      field_width, master_seed) = _HEADER.unpack_from(data, 0)
     if kind not in _CLASSES:
         raise InvariantViolation(f"unknown kind {kind}")
-    if eps_den == 0 or eps_num == 0 or eps_num >= eps_den:
-        raise InvariantViolation(f"eps = {eps_num}/{eps_den} is not in (0, 1)")
+    if not 0 < eps_num < eps_den or math.gcd(eps_num, eps_den) != 1:
+        raise InvariantViolation(f"eps = {eps_num}/{eps_den} is not a reduced fraction in (0, 1)")
     if field_width not in FIELDS_BY_WIDTH:
         raise InvariantViolation(f"unsupported field width {field_width}")
     if universe_bits < 1 or d < 1 or indep_k < 1:

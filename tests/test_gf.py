@@ -147,6 +147,39 @@ def test_poly_eval_matches_power_sum_reference_width64():
                                                      GF2_64.reduction_poly)
 
 
+def field_elements(field):
+    """Any element of the field, with 0, 1 and 2^w - 1 drawn often."""
+    top = field.order - 1
+    return st.sampled_from([0, 1, top]) | st.integers(0, top)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_poly_eval_matches_power_sum_reference(field, data):
+    coeffs = data.draw(st.lists(field_elements(field), min_size=1, max_size=5))
+    x = data.draw(field_elements(field))
+    assert poly_eval(PolySeed(tuple(coeffs), field), x) == naive_poly_eval(
+        coeffs, x, field.width_bits, field.reduction_poly)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mul_matches_naive_reference(field, data):
+    a, b = data.draw(field_elements(field)), data.draw(field_elements(field))
+    assert field_mul(a, b, field) == naive_gf_mul(a, b, field.width_bits,
+                                                  field.reduction_poly)
+
+
+def test_scalar_fold_runs_twice_when_the_first_overflows():
+    # (2^64-1)^2 has bit 126 set: the first fold leaves bits from 64 up
+    top = (1 << 64) - 1
+    want = naive_gf_mul(top, top, 64, GF2_64.reduction_poly)
+    assert field_mul(top, top, GF2_64) == want
+    assert poly_eval(PolySeed((5, top), GF2_64), top) == want ^ 5
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_poly_eval_block_matches_scalar(field):
     rng = random.Random(17 + field.width_bits)

@@ -112,6 +112,14 @@ def test_eps_not_in_unit_interval_rejected():
         load(bytes(blob))
 
 
+def test_eps_not_in_lowest_terms_rejected():
+    # it would load as 1/2 and save back as 1/2: save(load(b)) != b
+    blob = bytearray(golden_blobs()[0])
+    struct.pack_into("<II", blob, 19, 2, 4)  # eps = 2/4
+    with pytest.raises(InvariantViolation, match="reduced"):
+        load(bytes(blob))
+
+
 def test_unknown_kind_rejected():
     blob = bytearray(save(one_probe()))
     blob[6] = 7
@@ -276,6 +284,7 @@ def mutated_golden_blob(draw):
 @given(mutated_golden_blob())
 def test_load_of_a_mutated_golden_file_loads_or_raises_scheme_file_error(blob):
     try:
-        load(blob)
+        sch = load(blob)
     except SchemeFileError:
-        pass
+        return
+    assert save(sch) == blob
