@@ -37,10 +37,8 @@ from .reduction import (
 from .bmrv import (
     BmrvScheme,
     Labeling,
-    LabelingReport,
     NonConvergence,
     greedy_label,
-    verify_labeling,
 )
 from .scheme import RetriesExhausted, Scheme, Stage
 from .scheme_one import OneProbeScheme

@@ -99,32 +99,6 @@ def greedy_label(g: Graph, A, eps, max_iters: int | None = None,
                     tuple(rounds) if record_rounds else None)
 
 
-@dataclass(frozen=True)
-class LabelingReport:
-    max_member_error: Fraction
-    max_nonmember_error: Fraction
-    eps: Fraction
-    passed: bool
-
-
-def verify_labeling(g: Graph, A, eps, lab: Labeling | Bitmap) -> LabelingReport:
-    """Worst wrong-slot fraction per side; passes iff both are <= eps."""
-    p = g.params
-    eps = Fraction(eps)
-    bits = lab.bits if isinstance(lab, Labeling) else lab
-    labels = bits.as_bool_array()
-    targets = edge_targets(g)
-    ones = labels[targets].sum(axis=1)
-    member = np.zeros(p.m, dtype=bool)
-    idx = sorted(set(A))
-    member[idx] = True
-    member_err = Fraction(int((p.d - ones[member]).max()), p.d) if idx else Fraction(0)
-    outside = ones[~member]
-    nonmember_err = Fraction(int(outside.max()), p.d) if outside.size else Fraction(0)
-    return LabelingReport(member_err, nonmember_err, eps,
-                          member_err <= eps and nonmember_err <= eps)
-
-
 class BmrvScheme(Scheme):
     """A converged labeling over a seeded graph, ready to answer queries."""
 

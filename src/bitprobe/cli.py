@@ -14,7 +14,10 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from . import bmrv, scheme_one, scheme_two, storage
 from .gf import FIELDS_BY_WIDTH, field_for_width
@@ -42,10 +45,13 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def _parse_positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _parse_count(least: int):
+    """An argparse type for decimal integers >= least."""
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _parse_int_list(text: str) -> list:
@@ -72,8 +78,8 @@ def _read_set_file(path: str, universe: int) -> list:
             if x >= universe:
                 raise ValueError(f"{path}:{lineno}: element {x} >= universe {universe}")
             elements.append(x)
-    if len(set(elements)) != len(elements):
-        dup = sorted({x for x in elements if elements.count(x) > 1})
+    dup = sorted(x for x, count in Counter(elements).items() if count > 1)
+    if dup:
         raise ValueError(f"{path}: duplicate elements {dup}")
     return sorted(elements)
 
@@ -130,11 +136,11 @@ def cmd_query(args) -> int:
     try:
         scheme = _load_scheme(args.scheme_file)
         probes = resolve_probes(rng, len(scheme.stages), scheme.params.d)
-        answer = query(scheme, x, probes)
+        positions = [neighbor(st.graph, x, i) for st, i in zip(scheme.stages, probes)]
     except (ValueError, OSError, storage.SchemeFileError) as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
-    positions = [neighbor(st.graph, x, i) for st, i in zip(scheme.stages, probes)]
+    answer = all(st.bitmap.get(w) for st, w in zip(scheme.stages, positions))
     index, position = "probe_index", "bit_position"
     if len(probes) > 1:
         index, position = "probe_indices", "bit_positions"
@@ -146,15 +152,6 @@ def cmd_query(args) -> int:
         hits = sum(query(scheme, x, rng) for _ in range(args.trials))
         print(f"positive_rate={hits / args.trials} trials={args.trials}")
     return EXIT_OK
-
-
-def _guarantee_holds(scheme, profile) -> bool:
-    """One-sided for one and two: no member errs and every non-member errs
-    below eps.  Two-sided for bmrv: both sides err at most eps."""
-    eps = scheme.params.eps
-    if scheme.TWO_SIDED:
-        return max(profile.max_member_error, profile.max_nonmember_error) <= eps
-    return profile.false_negative_count == 0 and profile.max_nonmember_error < eps
 
 
 def cmd_verify(args) -> int:
@@ -169,12 +166,13 @@ def cmd_verify(args) -> int:
     except BudgetExceeded as exc:
         print(f"verify aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
-    members = set(A)
+    errors, den = profile.per_element, profile.denominator
+    common = np.gcd(errors, den)  # each row in lowest terms, 0 as 0/1
     with _csv_output(args.output) as writer:
         writer.writerow(["element", "membership", "exact_error_num", "exact_error_den"])
-        for x, err in enumerate(profile.per_element):
-            writer.writerow([x, int(x in members), err.numerator, err.denominator])
-    ok = _guarantee_holds(scheme, profile)
+        writer.writerows(zip(range(len(errors)), profile.member.astype(int).tolist(),
+                             (errors // common).tolist(), (den // common).tolist()))
+    ok = profile.holds
     print(f"false_negatives={profile.false_negative_count} "
           f"max_member_error={_format_rate(profile.max_member_error)} "
           f"max_nonmember_error={_format_rate(profile.max_nonmember_error)} "
@@ -216,7 +214,7 @@ def _bench_cell(u, n, eps, kind, args):
             max_error.numerator, max_error.denominator,
             f"{sum(encode_ms) / len(encode_ms):.3f}", f"{query_ns:.0f}",
             f"{seeds_accepted / seeds_tried:.4f}",
-            "ok" if _guarantee_holds(scheme, profile) else "violated"]
+            "ok" if profile.holds else "violated"]
 
 
 def cmd_bench(args) -> int:
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="set capacity (default: the set's size)")
     p_build.add_argument("--master-seed", type=int, default=0,
                          help="seed for the candidate stream (default: 0)")
-    p_build.add_argument("--max-retries", type=int, default=64,
+    p_build.add_argument("--max-retries", type=_parse_count(1), default=64,
                          help="candidate seeds per stage (default: 64)")
     p_build.add_argument("--indep-k", type=int, default=None,
                          help="hash independence order (default: u^2)")
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="answer one membership query")
     p_query.add_argument("scheme_file")
     p_query.add_argument("element", type=int)
-    p_query.add_argument("--trials", type=int, default=0,
+    p_query.add_argument("--trials", type=_parse_count(0), default=0,
                          help="also report the empirical positive rate over N probes")
     p_query.add_argument("--exact", action="store_true",
                          help="report the exact positive rate over all probe indices")
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--eps-list", type=_parse_eps_list, default=[],
                          help="comma-separated rationals, e.g. 1/2,1/4")
     p_bench.add_argument("--kind", choices=("one", "two", "bmrv"), default="one")
-    p_bench.add_argument("--trials", type=_parse_positive_int, default=3,
+    p_bench.add_argument("--trials", type=_parse_count(1), default=3,
                          help="builds per cell (default: 3)")
     p_bench.add_argument("--indep-k", type=int, default=None)
     p_bench.add_argument("--field-width", type=int, default=64,

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bmrv import Labeling
 from .gf import FieldSpec, poly_eval, seed_from_index
 from .graph import ExplicitGraph
 from .reduction import slot_overlap_counts
@@ -30,56 +29,74 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorProfile:
-    """Exact per-element error probabilities for a whole universe."""
+    """Exact errors over a whole universe, as integer counts: element x is
+    answered wrongly by per_element[x] of the ``denominator`` equally likely
+    probe tuples.  ``member`` flags the stored set; eps and two_sided are
+    the guarantee that ``holds`` checks."""
 
-    max_member_error: Fraction
-    max_nonmember_error: Fraction
-    histogram: dict
-    false_negative_count: int
-    per_element: tuple
+    per_element: np.ndarray
+    denominator: int
+    member: np.ndarray
+    eps: Fraction
+    two_sided: bool
+
+    def _worst(self, side: np.ndarray) -> Fraction:
+        errors = self.per_element[side]
+        return Fraction(int(errors.max()) if errors.size else 0, self.denominator)
+
+    @property
+    def max_member_error(self) -> Fraction:
+        return self._worst(self.member)
+
+    @property
+    def max_nonmember_error(self) -> Fraction:
+        return self._worst(~self.member)
+
+    @property
+    def false_negative_count(self) -> int:
+        return int(np.count_nonzero(self.per_element[self.member]))
+
+    @property
+    def holds(self) -> bool:
+        """The verdict.  One-sided (one, two): no member errs and every
+        non-member errs below eps.  Two-sided (bmrv): both sides err at
+        most eps."""
+        if self.two_sided:
+            return max(self.max_member_error, self.max_nonmember_error) <= self.eps
+        return self.false_negative_count == 0 and self.max_nonmember_error < self.eps
 
 
-def error_profile(target, A, budget: int | None = None) -> ErrorProfile:
+def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     """Enumerate every probe of every universe element and report exact
-    (rational) error probabilities.
+    error counts for the scheme that stores A.
 
-    ``target`` is a scheme or a ``(graph, labeling)`` pair; ``A`` is the
-    stored set the target encodes.  For a scheme of several stages the
-    per-element true-answer count over all d^stages probe tuples factors
-    exactly into the product of the per-stage slot overlaps, which is what
-    gets computed.
+    The number of probe tuples (one slot per stage, d^stages of them) that
+    answer x true factors into the product of the per-stage slot overlaps.
+    The product is exact in int64: derived sizing has 2 d^2 n_cap <= s
+    <= 2^64, so d^2 < 2^63.
     """
-    if isinstance(target, Scheme):
-        stages = [(st.graph, st.bitmap) for st in target.stages]
-    else:
-        g, lab = target
-        stages = [(g, lab.bits if isinstance(lab, Labeling) else lab)]
-
-    m = stages[0][0].params.m
-    d = stages[0][0].params.d
-    probes_per_element = d * len(stages)
+    p = sch.params
+    stages = len(sch.stages)
+    probes_per_element = p.d * stages
     cap = budget if budget is not None else PROBE_BUDGET_ELEMENTS * probes_per_element
-    if m * probes_per_element > cap:
+    if p.m * probes_per_element > cap:
         raise BudgetExceeded(
-            f"{m * probes_per_element} probe evaluations exceed budget {cap}")
+            f"{p.m * probes_per_element} probe evaluations exceed budget {cap}")
+    A = np.asarray(sorted(set(A)), dtype=np.int64)
+    if A.size and (A[0] < 0 or A[-1] >= p.m):
+        raise ValueError(f"element out of range [0, {p.m})")
 
-    rows = np.arange(m, dtype=np.int64)
-    true_rate = np.full(m, Fraction(1))
-    for g, bm in stages:
-        counts = slot_overlap_counts(g, bm.as_bool_array(), rows)
-        true_rate = true_rate * [Fraction(int(c), d) for c in counts]
-
-    members = set(A)
-    per_element = tuple(1 - rate if x in members else rate
-                        for x, rate in enumerate(true_rate))
-    member_errors = [per_element[x] for x in sorted(members)]
-    nonmember_errors = [err for x, err in enumerate(per_element) if x not in members]
-    return ErrorProfile(max(member_errors, default=Fraction(0)),
-                        max(nonmember_errors, default=Fraction(0)),
-                        dict(Counter(per_element)),
-                        sum(err > 0 for err in member_errors), per_element)
+    rows = np.arange(p.m, dtype=np.int64)
+    answered_true = np.ones(p.m, dtype=np.int64)
+    for st in sch.stages:
+        answered_true *= slot_overlap_counts(st.graph, st.bitmap.as_bool_array(), rows)
+    denominator = p.d ** stages
+    member = np.zeros(p.m, dtype=bool)
+    member[A] = True
+    per_element = np.where(member, denominator - answered_true, answered_true)
+    return ErrorProfile(per_element, denominator, member, p.eps, sch.TWO_SIDED)
 
 
 def verify_expander(g: ExplicitGraph, k_max: int, delta,

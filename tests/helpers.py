@@ -10,8 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from bitprobe.bits import Bitmap
+from bitprobe.bmrv import BmrvScheme
 from bitprobe.graph import ExplicitGraph, GraphParams
 from bitprobe.oracle import verify_expander
+from bitprobe.scheme import Stage
 
 
 def naive_gf_mul(a, b, width, poly_mask):
@@ -95,6 +97,12 @@ def with_bitmaps(sch, *bitmaps):
     """The scheme with its stage bitmaps replaced, in stage order."""
     stages = tuple(replace(st, bitmap=bm) for st, bm in zip(sch.stages, bitmaps))
     return replace(sch, stages=stages)
+
+
+def scheme_of(*stages, kind=BmrvScheme):
+    """A scheme of the given kind over hand-built (graph, bitmap) stages,
+    e.g. a greedy labeling of an explicit graph."""
+    return kind(tuple(Stage(g, bits, 0) for g, bits in stages))
 
 
 def toy_params(m, s, d, eps, n_cap=1):

@@ -16,11 +16,11 @@ from fractions import Fraction
 import pytest
 
 from bitprobe import bmrv, scheme_one, scheme_two, storage
-from bitprobe.bmrv import default_max_iters, greedy_label, verify_labeling
+from bitprobe.bmrv import default_max_iters, greedy_label
 from bitprobe.cli import main
 from bitprobe.gf import GF2_3, default_indep_k, draw_seed
 from bitprobe.graph import SeededGraph, derive_params, materialize, neighbor
-from bitprobe.oracle import kwise_uniformity_check
+from bitprobe.oracle import error_profile, kwise_uniformity_check
 from bitprobe.reduction import (
     check_reduction_property,
     check_strong_reduction,
@@ -32,6 +32,7 @@ from helpers import (
     TINY_EPS,
     TINY_K_MAX,
     CountingBitmap,
+    scheme_of,
     verified_tiny_expanders,
     with_bitmaps,
 )
@@ -239,7 +240,7 @@ def test_criterion_6_bmrv_convergence(capsys):
             problems.append(f"graph {gi}: trace {lab.trace} not halving")
         if lab.iterations > cap:
             problems.append(f"graph {gi}: {lab.iterations} rounds > cap {cap}")
-        if not verify_labeling(g, A, TINY_EPS, lab).passed:
+        if not error_profile(scheme_of((g, lab.bits)), A).holds:
             problems.append(f"graph {gi}: labeling fails verification")
     elapsed = time.perf_counter() - t0
     capsys.readouterr()

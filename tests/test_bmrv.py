@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 
 from bitprobe import bmrv
+from bitprobe.bits import Bitmap
 from bitprobe.bmrv import (
-    Labeling,
     NonConvergence,
     default_max_iters,
     greedy_label,
-    verify_labeling,
 )
+from bitprobe.oracle import error_profile
 from helpers import (
     TINY_EPS,
     explicit_graph,
     random_explicit_graph,
+    scheme_of,
     verified_tiny_expanders,
 )
 
@@ -76,10 +77,10 @@ def test_disjoint_neighborhoods_converge_in_one_round():
     lab = greedy_label(g, [1, 4], Fraction(1, 2))
     assert lab.iterations == 1
     assert lab.trace == ()
-    rep = verify_labeling(g, [1, 4], Fraction(1, 2), lab)
-    assert rep.passed
-    assert rep.max_member_error == 0
-    assert rep.max_nonmember_error == 0
+    prof = error_profile(scheme_of((g, lab.bits)), [1, 4])
+    assert prof.holds
+    assert prof.max_member_error == 0
+    assert prof.max_nonmember_error == 0
 
 
 def test_engineered_instance_has_nonzero_member_error():
@@ -94,10 +95,10 @@ def test_engineered_instance_has_nonzero_member_error():
     lab = greedy_label(g, [0], Fraction(1, 4))
     assert lab.iterations == 2
     assert lab.trace == (1,)
-    rep = verify_labeling(g, [0], Fraction(1, 4), lab)
-    assert rep.passed
-    assert rep.max_member_error == Fraction(1, 8)
-    assert rep.max_member_error > 0
+    prof = error_profile(scheme_of((g, lab.bits)), [0])
+    assert prof.holds
+    assert prof.max_member_error == Fraction(1, 8)
+    assert prof.false_negative_count == 1
 
 
 def test_star_graph_oscillates_to_nonconvergence():
@@ -159,7 +160,7 @@ def test_converged_runs_on_tiny_expanders_verify_and_halve():
             sizes = [len(A)] + list(lab.trace)
             for prev, cur in zip(sizes, sizes[1:]):
                 assert cur <= prev / 2
-            assert verify_labeling(g, A, TINY_EPS, lab).passed
+            assert error_profile(scheme_of((g, lab.bits)), A).holds
 
 
 def test_rejects_set_beyond_capacity():
@@ -169,16 +170,17 @@ def test_rejects_set_beyond_capacity():
 
 
 def test_verify_labeling_trivial_labelings():
-    from bitprobe.bits import Bitmap
-
+    # all-zero labels for the empty set, all-one labels for the whole universe
     g = random_explicit_graph(random.Random(4), m=6, s=16, d=3, n_cap=6)
-    rep = verify_labeling(g, [], Fraction(1, 2),
-                          Labeling(bits=Bitmap(16), iterations=0, trace=()))
-    assert rep.max_member_error == 0
-    assert rep.max_nonmember_error == 0
+    prof = error_profile(scheme_of((g, Bitmap(16))), [])
+    assert prof.holds
+    assert prof.max_member_error == 0
+    assert prof.max_nonmember_error == 0
     all_ones = Bitmap.from_bool_array([True] * 16)
-    rep = verify_labeling(g, range(6), Fraction(1, 2), all_ones)
-    assert rep.max_member_error == 0
+    prof = error_profile(scheme_of((g, all_ones)), range(6))
+    assert prof.holds
+    assert prof.max_member_error == 0
+    assert prof.max_nonmember_error == 0
 
 
 def test_encode_query_roundtrip_on_seeded_graph():
@@ -188,5 +190,4 @@ def test_encode_query_roundtrip_on_seeded_graph():
     for x in A:
         hits = sum(bmrv.query(sch, x, i) for i in range(sch.params.d))
         assert hits >= sch.params.d - sch.params.d * Fraction(1, 2)
-    rep = verify_labeling(sch.graph, A, Fraction(1, 2), sch.stages[0].bitmap)
-    assert rep.passed
+    assert error_profile(sch, A).holds

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import io
 from fractions import Fraction
 
 import pytest
 
-from bitprobe import cli, scheme_one, storage
+from bitprobe import cli, graph, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
@@ -58,6 +59,12 @@ def test_build_rejects_duplicates_and_overflow(tmp_path, capsys):
     rc = main(["build", write_set(tmp_path, [1, 1]), "-o", str(tmp_path / "x"),
                "--universe-bits", "4", "--eps", "1/2"])
     assert rc == 2
+    # 40,001 lines with one duplicate: named, and found in linear time
+    elements = list(range(0, 80_000, 2)) + [31_336]
+    rc = main(["build", write_set(tmp_path, elements), "-o", str(tmp_path / "x"),
+               "--universe-bits", "20", "--eps", "1/2"])
+    assert rc == 2
+    assert "duplicate elements [31336]" in capsys.readouterr().err
     rc = main(["build", write_set(tmp_path, [16]), "-o", str(tmp_path / "x"),
                "--universe-bits", "4", "--eps", "1/2"])
     assert rc == 2
@@ -65,10 +72,27 @@ def test_build_rejects_duplicates_and_overflow(tmp_path, capsys):
 
 
 def test_build_retries_exhausted_exit_code(tmp_path, capsys):
+    # at indep_k=1 the polynomial is a constant: every probe slot of every
+    # element lands on one bit, so no seed passes the reduction check
     rc = main(["build", write_set(tmp_path, [1]), "-o", str(tmp_path / "x"),
-               "--universe-bits", "4", "--eps", "1/2", "--max-retries", "0"])
+               "--universe-bits", "4", "--eps", "1/2", "--max-retries", "1",
+               "--indep-k", "1"])
     assert rc == 2
-    capsys.readouterr()
+    assert "after 1 attempts (failure rate 1/1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--max-retries", "-3"],
+    ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--max-retries", "0"],
+    ["query", "OUT", "1", "--trials", "-5"],
+])
+def test_count_flags_reject_values_below_their_range(tmp_path, capsys, argv):
+    out, _ = build(tmp_path, [1], capsys, u=4)
+    paths = {"SET": write_set(tmp_path, [1]), "OUT": out}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    assert "expected an integer >=" in capsys.readouterr().err
 
 
 def test_query_member_and_nonmember(tmp_path, capsys):
@@ -145,6 +169,44 @@ def test_verify_detects_corrupted_bitmap(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "false_negatives=" in err and "verdict=fail" in err
+
+
+# sha256 of the `verify` CSV, the exit code and the stderr line on the
+# GOLDEN_SHA256 instances at k=6 (test_storage.py), recorded before the oracle
+# counted errors in integers; "cut" clears the bit that member 3's probe 0
+# reads in the last stage, so member 3 errs.
+GOLDEN_VERIFY = {
+    ("one", "intact"): (0, "2e21f27301a13134d1e8455e290dfdb61d8fb9e61d91a0d6dbe19caff68f76d3",
+        "false_negatives=0 max_member_error=0/1 max_nonmember_error=1/8 eps=1/2 verdict=pass\n"),
+    ("one", "cut"): (1, "ae96f4cdb9293de2331e3a39b3639d5594c099dc5a89dc809e8a4ddc0c251c00",
+        "false_negatives=1 max_member_error=1/24 max_nonmember_error=1/8 eps=1/2 verdict=fail\n"),
+    ("two", "intact"): (0, "2febce61a8f8f85a37b221313716f0a4177913df37ab034dcf70832b45b9c041",
+        "false_negatives=0 max_member_error=0/1 max_nonmember_error=1/288 eps=1/2 verdict=pass\n"),
+    ("two", "cut"): (1, "f7477553a375d3b34e464e0ab61197697031c5f5ca19237d4117ee11c1b29de5",
+        "false_negatives=1 max_member_error=1/24 max_nonmember_error=1/288 eps=1/2 verdict=fail\n"),
+    ("bmrv", "intact"): (0, "2e21f27301a13134d1e8455e290dfdb61d8fb9e61d91a0d6dbe19caff68f76d3",
+        "false_negatives=0 max_member_error=0/1 max_nonmember_error=1/8 eps=1/2 verdict=pass\n"),
+    ("bmrv", "cut"): (0, "ae96f4cdb9293de2331e3a39b3639d5594c099dc5a89dc809e8a4ddc0c251c00",
+        "false_negatives=1 max_member_error=1/24 max_nonmember_error=1/8 eps=1/2 verdict=pass\n"),
+}
+
+
+@pytest.mark.parametrize("kind", ["one", "two", "bmrv"])
+def test_verify_output_matches_golden(tmp_path, capsys, kind):
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, kind=kind, u=6,
+                   extra=("--master-seed", "7"))
+    set_file = write_set(tmp_path, [3, 17, 40, 58])
+    for variant in ("intact", "cut"):
+        if variant == "cut":
+            sch = storage.load(open(out, "rb").read())
+            bitmaps = [Bitmap.from_bytes(st.bitmap.nbits, st.bitmap.to_bytes())
+                       for st in sch.stages]
+            bitmaps[-1].set(neighbor(sch.stages[-1].graph, 3, 0), 0)
+            open(out, "wb").write(storage.save(with_bitmaps(sch, *bitmaps)))
+        csv_path = tmp_path / f"{variant}.csv"
+        rc = main(["verify", out, set_file, "-o", str(csv_path)])
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert (rc, digest, capsys.readouterr().err) == GOLDEN_VERIFY[kind, variant]
 
 
 def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):
@@ -296,3 +358,21 @@ def test_query_output_matches_golden(tmp_path, capsys, kind):
     for (_, x, flags), text in cases.items():
         assert main(["query", out, str(x), *flags.split()]) == 0
         assert capsys.readouterr().out == text
+
+
+def test_query_evaluates_each_stage_polynomial_once(tmp_path, capsys, monkeypatch):
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, kind="two", u=6,
+                   extra=("--master-seed", "7"))
+    calls = []
+
+    def counting_poly_eval(seed, x):
+        calls.append(x)
+        return poly_eval(seed, x)
+
+    poly_eval = graph.poly_eval
+    monkeypatch.setattr(graph, "poly_eval", counting_poly_eval)
+    for x, answer in ((3, "true"), (5, "false")):
+        calls.clear()
+        assert main(["query", out, str(x)]) == 0
+        assert capsys.readouterr().out.startswith(f"answer={answer} ")
+        assert len(calls) == 2

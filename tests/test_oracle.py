@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitprobe import scheme_one, scheme_two
-from bitprobe.bmrv import greedy_label
+from bitprobe.bits import Bitmap
+from bitprobe.bmrv import BmrvScheme, greedy_label
 from bitprobe.gf import GF2_3, GF2_8
 from bitprobe.oracle import (
     BudgetExceeded,
@@ -15,6 +18,8 @@ from bitprobe.oracle import (
 )
 from bitprobe.reduction import check_reduction_property
 from bitprobe.scheme import exact_error
+from bitprobe.scheme_one import OneProbeScheme
+from bitprobe.scheme_two import TwoProbeScheme
 
 from helpers import (
     TINY_DELTA,
@@ -22,8 +27,13 @@ from helpers import (
     TINY_K_MAX,
     explicit_graph,
     random_explicit_graph,
+    scheme_of,
     verified_tiny_expanders,
 )
+
+
+def error_of(prof, x) -> Fraction:
+    return Fraction(int(prof.per_element[x]), prof.denominator)
 
 
 def test_profile_of_empty_scheme_is_all_zero():
@@ -32,7 +42,8 @@ def test_profile_of_empty_scheme_is_all_zero():
     assert prof.max_member_error == 0
     assert prof.max_nonmember_error == 0
     assert prof.false_negative_count == 0
-    assert prof.histogram == {Fraction(0): 64}
+    assert prof.per_element.tolist() == [0] * 64
+    assert prof.holds
 
 
 def test_profile_of_one_probe_scheme_matches_guarantees():
@@ -43,13 +54,14 @@ def test_profile_of_one_probe_scheme_matches_guarantees():
     assert prof.false_negative_count == 0
     assert prof.max_member_error == 0
     assert prof.max_nonmember_error < Fraction(1, 4)
-    assert sum(prof.histogram.values()) == 256
+    assert prof.holds
+    assert len(prof.per_element) == 256
     # per-element agreement with the scheme's own exact positive rate
     members = set(A)
     for x in range(256):
         rate = exact_error(sch, x)
         want = 1 - rate if x in members else rate
-        assert prof.per_element[x] == want
+        assert error_of(prof, x) == want
 
 
 def test_profile_of_two_probe_scheme():
@@ -62,7 +74,7 @@ def test_profile_of_two_probe_scheme():
     for x in range(0, 128, 17):
         if x in set(A):
             continue
-        assert prof.per_element[x] == exact_error(sch, x)
+        assert error_of(prof, x) == exact_error(sch, x)
 
 
 def test_profile_of_bmrv_labeling_can_be_two_sided():
@@ -73,17 +85,73 @@ def test_profile_of_bmrv_labeling_can_be_two_sided():
     ]
     g = explicit_graph(rows, s=16, eps=Fraction(1, 4))
     lab = greedy_label(g, [0], Fraction(1, 4))
-    prof = error_profile((g, lab), [0])
+    prof = error_profile(scheme_of((g, lab.bits)), [0])
     assert prof.max_member_error == Fraction(1, 8)
     assert prof.false_negative_count == 1
     assert prof.max_member_error <= Fraction(1, 4)
     assert prof.max_nonmember_error <= Fraction(1, 4)
+    assert prof.holds
+    # the same bits read as a one-sided scheme break its guarantee
+    assert not error_profile(scheme_of((g, lab.bits), kind=OneProbeScheme), [0]).holds
 
 
 def test_profile_budget_is_a_hard_failure():
     sch = scheme_one.encode([1], 6, Fraction(1, 2), indep_k=4)
     with pytest.raises(BudgetExceeded):
         error_profile(sch, [1], budget=10)
+
+
+def test_profile_rejects_elements_outside_the_universe():
+    sch = scheme_one.encode([1], 6, Fraction(1, 2), indep_k=4)
+    for A in ([-1], [1, 64]):
+        with pytest.raises(ValueError, match="out of range"):
+            error_profile(sch, A)
+
+
+@st.composite
+def hand_built_scheme(draw):
+    """One or two stages of random explicit graphs of one shape, random
+    bitmaps (or the marked neighborhood of A, as the encoders store), and a
+    random A; eps is a multiple of 1/d, so errors often sit right on it."""
+    m, d, log2_s = draw(st.integers(1, 10)), draw(st.integers(2, 5)), draw(st.integers(0, 5))
+    eps = Fraction(draw(st.integers(1, d - 1)), d)
+    A = sorted(draw(st.sets(st.integers(0, m - 1))))
+    kind = draw(st.sampled_from([OneProbeScheme, TwoProbeScheme, BmrvScheme]))
+    stages = []
+    for _ in range(kind.STAGES):
+        rows = draw(st.lists(st.lists(st.integers(0, (1 << log2_s) - 1), min_size=d, max_size=d),
+                             min_size=m, max_size=m))
+        g = explicit_graph(rows, 1 << log2_s, eps)
+        flags = draw(st.lists(st.booleans(), min_size=1 << log2_s, max_size=1 << log2_s))
+        if draw(st.booleans()):
+            flags = [False] * (1 << log2_s)
+            for x in A:
+                for w in rows[x]:
+                    flags[w] = True
+        stages.append((g, Bitmap.from_bool_array(flags)))
+    return scheme_of(*stages, kind=kind), A
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_scheme())
+def test_profile_equals_the_scalar_exact_error(case):
+    sch, A = case
+    prof = error_profile(sch, A)
+    errors = {}
+    for x in range(sch.params.m):
+        rate = exact_error(sch, x)
+        errors[x] = 1 - rate if x in A else rate
+        assert error_of(prof, x) == errors[x]
+    member = [errors[x] for x in A]
+    nonmember = [e for x, e in errors.items() if x not in A]
+    assert prof.max_member_error == max(member, default=0)
+    assert prof.max_nonmember_error == max(nonmember, default=0)
+    assert prof.false_negative_count == sum(e > 0 for e in member)
+    if sch.TWO_SIDED:
+        want = all(e <= sch.eps for e in errors.values())
+    else:
+        want = all(e == 0 for e in member) and all(e < sch.eps for e in nonmember)
+    assert prof.holds == want
 
 
 def test_verify_expander_disjoint_neighborhoods():
