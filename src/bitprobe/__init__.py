@@ -18,18 +18,15 @@ from .gf import (
     seed_from_index,
 )
 from .graph import (
-    ExplicitGraph,
     GraphParams,
     SeededGraph,
     derive_params,
     edge_targets,
-    materialize,
     neighbor,
     neighborhood_bitmap,
 )
 from .reduction import (
     ReductionReport,
-    check_reduction_property,
     check_strong_reduction,
     overlap_threshold,
     probe_overlap,
@@ -42,13 +39,12 @@ from .bmrv import (
 )
 from .scheme import RetriesExhausted, Scheme, Stage
 from .scheme_one import OneProbeScheme
-from .scheme_two import TwoProbeScheme, compute_misclassified
+from .scheme_two import TwoProbeScheme
 from .oracle import (
     BudgetExceeded,
     ErrorProfile,
     error_profile,
     kwise_uniformity_check,
-    verify_expander,
 )
 from .storage import (
     BadMagic,

@@ -30,33 +30,10 @@ class Bitmap:
         bm._buf = bytearray(np.packbits(arr, bitorder="little").tobytes())
         return bm
 
-    @classmethod
-    def from_indices(cls, nbits: int, indices) -> "Bitmap":
-        flags = np.zeros(nbits, dtype=bool)
-        idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                         dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= nbits:
-                raise ValueError("bit index out of range")
-            flags[idx] = True
-        return cls.from_bool_array(flags)
-
     def get(self, i: int) -> int:
         if not 0 <= i < self.nbits:
             raise IndexError(f"bit {i} out of range [0, {self.nbits})")
         return (self._buf[i >> 3] >> (i & 7)) & 1
-
-    def set(self, i: int, value: int = 1) -> None:
-        if not 0 <= i < self.nbits:
-            raise IndexError(f"bit {i} out of range [0, {self.nbits})")
-        if value:
-            self._buf[i >> 3] |= 1 << (i & 7)
-        else:
-            self._buf[i >> 3] &= ~(1 << (i & 7)) & 0xFF
-
-    def popcount(self) -> int:
-        return int(np.unpackbits(np.frombuffer(bytes(self._buf), dtype=np.uint8),
-                                 bitorder="little")[: self.nbits].sum())
 
     def as_bool_array(self) -> np.ndarray:
         return np.unpackbits(np.frombuffer(bytes(self._buf), dtype=np.uint8),
@@ -74,4 +51,4 @@ class Bitmap:
         return self.nbits == other.nbits and self._buf == other._buf
 
     def __repr__(self) -> str:
-        return f"Bitmap(nbits={self.nbits}, popcount={self.popcount()})"
+        return f"Bitmap(nbits={self.nbits})"

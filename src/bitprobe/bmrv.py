@@ -19,7 +19,7 @@ import numpy as np
 from . import scheme
 from .bits import Bitmap
 from .gf import GF2_64, FieldSpec
-from .graph import Graph, GraphParams, SeededGraph, edge_targets
+from .graph import GraphParams, SeededGraph, edge_targets
 from .reduction import overlap_threshold
 from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
 
@@ -53,7 +53,7 @@ def default_max_iters(m: int) -> int:
     return 2 * math.ceil(math.log2(max(m, 2))) + 2
 
 
-def greedy_label(g: Graph, A, eps, max_iters: int | None = None,
+def greedy_label(g: SeededGraph, A, eps, max_iters: int | None = None,
                  record_rounds: bool = False) -> Labeling:
     """Run the alternating relabeling for A; raises NonConvergence at the cap."""
     p = g.params

@@ -85,8 +85,13 @@ def _read_set_file(path: str, universe: int) -> list:
 
 
 def _env_budget():
+    """The enumeration budget from the environment: None when unset."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.strip().isdigit():
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 @contextlib.contextmanager
@@ -98,6 +103,8 @@ def _csv_output(path):
 
 def cmd_build(args) -> int:
     try:
+        if not 0 <= args.master_seed < 1 << 64:
+            raise ValueError(f"--master-seed {args.master_seed} outside [0, 2^64)")
         A = _read_set_file(args.set_file, 1 << args.universe_bits)
         if args.n_cap is not None and len(A) > args.n_cap:
             raise ValueError(f"{len(A)} elements exceed --n-cap {args.n_cap}")
@@ -156,13 +163,14 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        budget = _env_budget()
         scheme = _load_scheme(args.scheme_file)
         A = _read_set_file(args.set_file, scheme.params.m)
     except (ValueError, OSError, storage.SchemeFileError) as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
     try:
-        profile = error_profile(scheme, A, budget=_env_budget())
+        profile = error_profile(scheme, A, budget)
     except BudgetExceeded as exc:
         print(f"verify aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
@@ -186,7 +194,7 @@ BENCH_COLUMNS = ["u", "n", "eps", "kind", "bitmap_bits", "cache_bits",
                  "encode_ms", "query_ns", "accept_rate", "status"]
 
 
-def _bench_cell(u, n, eps, kind, args):
+def _bench_cell(u, n, eps, kind, args, budget):
     rng = random.Random(args.master_seed ^ (u << 20) ^ (n << 8))
     field = field_for_width(args.field_width)
     encode = _ENCODERS[kind]
@@ -206,7 +214,7 @@ def _bench_cell(u, n, eps, kind, args):
     for _ in range(queries):
         query(scheme, qrng.randrange(m), qrng)
     query_ns = (time.perf_counter_ns() - t0) / queries
-    profile = error_profile(scheme, A, budget=_env_budget())
+    profile = error_profile(scheme, A, budget)
     max_error = max(profile.max_nonmember_error, profile.max_member_error)
     seeds_accepted = args.trials * len(scheme.stages)
     return [u, n, _format_rate(eps), kind, scheme.bitmap_bits, scheme.cache_bits,
@@ -218,12 +226,17 @@ def _bench_cell(u, n, eps, kind, args):
 
 
 def cmd_bench(args) -> int:
+    try:
+        budget = _env_budget()
+    except ValueError as exc:
+        print(f"bench failed: {exc}", file=sys.stderr)
+        return EXIT_ENCODE_FAILURE
     violated = False
     with _csv_output(args.output) as writer:
         writer.writerow(BENCH_COLUMNS)
         for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
             try:
-                row = _bench_cell(u, n, eps, args.kind, args)
+                row = _bench_cell(u, n, eps, args.kind, args, budget)
             except (ValueError, RetriesExhausted, BudgetExceeded) as exc:
                 row = [u, n, _format_rate(eps), args.kind] + [""] * 8
                 row += [f"{type(exc).__name__}"]
@@ -250,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n-cap", type=int, default=None,
                          help="set capacity (default: the set's size)")
     p_build.add_argument("--master-seed", type=int, default=0,
-                         help="seed for the candidate stream (default: 0)")
+                         help="seed for the candidate stream, in [0, 2^64) (default: 0)")
     p_build.add_argument("--max-retries", type=_parse_count(1), default=64,
                          help="candidate seeds per stage (default: 64)")
     p_build.add_argument("--indep-k", type=int, default=None,

@@ -1,9 +1,9 @@
-"""Left-regular bipartite graphs, seeded (functional) and explicit.
+"""Left-regular bipartite graphs given by a polynomial seed.
 
-A seeded graph never materializes its edge set: the i-th neighbor of left
+A seeded graph never stores its edge set: the i-th neighbor of left
 vertex v is the low log2(s) bits of the seed polynomial evaluated at the
-edge index v*d + i.  Explicit graphs store an (m, d) adjacency table and
-exist for small instances and oracle checks.
+edge index v*d + i.  The seed is the scheme's cached word, so the graph is
+exactly the output of the pseudo-random generator.
 """
 
 import math
@@ -14,8 +14,6 @@ import numpy as np
 
 from .bits import Bitmap
 from .gf import GF2_64, FieldSpec, PolySeed, poly_eval, poly_eval_block
-
-DEFAULT_MATERIALIZE_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -84,38 +82,17 @@ class SeededGraph:
             raise ValueError("m*d edge indices do not fit in the seed's field")
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitGraph:
-    """Graph with a stored (m, d) adjacency table; oracle substrate."""
-
-    params: GraphParams
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.int64)
-        if adj.shape != (self.params.m, self.params.d):
-            raise ValueError(f"adjacency must have shape {(self.params.m, self.params.d)}")
-        if adj.size and (adj.min() < 0 or adj.max() >= self.params.s):
-            raise ValueError("adjacency entry out of range [0, s)")
-        object.__setattr__(self, "adjacency", adj)
-
-
-Graph = SeededGraph | ExplicitGraph
-
-
-def neighbor(g: Graph, v: int, i: int) -> int:
+def neighbor(g: SeededGraph, v: int, i: int) -> int:
     """The i-th neighbor of left vertex v; one polynomial evaluation."""
     p = g.params
     if not 0 <= v < p.m:
         raise ValueError(f"left vertex {v} out of range [0, {p.m})")
     if not 0 <= i < p.d:
         raise ValueError(f"probe index {i} out of range [0, {p.d})")
-    if isinstance(g, ExplicitGraph):
-        return int(g.adjacency[v, i])
     return poly_eval(g.seed, v * p.d + i) & (p.s - 1)
 
 
-def edge_targets(g: Graph, vs=None) -> np.ndarray:
+def edge_targets(g: SeededGraph, vs=None) -> np.ndarray:
     """Neighbor table for the given left vertices (all of L by default).
 
     Returns an int64 array of shape (len(vs), d); row order follows vs.
@@ -127,8 +104,6 @@ def edge_targets(g: Graph, vs=None) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
         if vs.size and (vs.min() < 0 or vs.max() >= p.m):
             raise ValueError("left vertex out of range")
-    if isinstance(g, ExplicitGraph):
-        return g.adjacency[vs]
     pts = (vs[:, None].astype(np.uint64) * np.uint64(p.d)
            + np.arange(p.d, dtype=np.uint64)).ravel()
     out = poly_eval_block(g.seed, pts)
@@ -136,7 +111,7 @@ def edge_targets(g: Graph, vs=None) -> np.ndarray:
     return out.view(np.int64).reshape(len(vs), p.d)
 
 
-def marked_neighbors(g: Graph, A) -> np.ndarray:
+def marked_neighbors(g: SeededGraph, A) -> np.ndarray:
     """Boolean indicator of Gamma(A) over [0, s)."""
     p = g.params
     flags = np.zeros(p.s, dtype=bool)
@@ -146,14 +121,7 @@ def marked_neighbors(g: Graph, A) -> np.ndarray:
     return flags
 
 
-def neighborhood_bitmap(g: Graph, A) -> Bitmap:
+def neighborhood_bitmap(g: SeededGraph, A) -> Bitmap:
     """The stored string: bit w set iff some probe slot of A lands on w."""
     return Bitmap.from_bool_array(marked_neighbors(g, A))
 
-
-def materialize(g: SeededGraph, budget: int = DEFAULT_MATERIALIZE_BUDGET) -> ExplicitGraph:
-    """Expand a seeded graph into an explicit one (small instances only)."""
-    p = g.params
-    if p.m * p.d > budget:
-        raise ValueError(f"materialization budget exceeded: m*d = {p.m * p.d} > {budget}")
-    return ExplicitGraph(p, edge_targets(g))

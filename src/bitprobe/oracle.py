@@ -1,13 +1,11 @@
-"""Brute-force ground truth: exact error profiles, exhaustive expander
-verification on tiny graphs, and exact k-wise uniformity enumeration.
+"""Brute-force ground truth: exact error profiles of stored schemes and
+exact k-wise uniformity enumeration of the seed family.
 
 Everything here enumerates; nothing samples.  Budgets are hard limits and
 blowing one raises, because an oracle that silently falls back to sampling
 is not an oracle.
 """
 
-import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,14 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FieldSpec, poly_eval, seed_from_index
-from .graph import ExplicitGraph
 from .reduction import slot_overlap_counts
 from .scheme import Scheme
 
 # error_profile default: at most 2^20 universe elements times the probe count.
 PROBE_BUDGET_ELEMENTS = 1 << 20
-# verify_expander default: total subsets enumerated.
-DEFAULT_SUBSET_BUDGET = 200_000
 
 
 class BudgetExceeded(Exception):
@@ -97,26 +92,6 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     member[A] = True
     per_element = np.where(member, denominator - answered_true, answered_true)
     return ErrorProfile(per_element, denominator, member, p.eps, sch.TWO_SIDED)
-
-
-def verify_expander(g: ExplicitGraph, k_max: int, delta,
-                    budget: int = DEFAULT_SUBSET_BUDGET) -> bool:
-    """Exhaustively check |Gamma(A)| >= (1-delta) d |A| for every |A| <= k_max."""
-    p = g.params
-    delta = Fraction(delta)
-    total = sum(math.comb(p.m, j) for j in range(1, k_max + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
-    neighbor_sets = [frozenset(int(w) for w in row) for row in g.adjacency]
-    for j in range(1, k_max + 1):
-        need = (1 - delta) * p.d * j
-        for A in itertools.combinations(range(p.m), j):
-            gamma = set()
-            for v in A:
-                gamma |= neighbor_sets[v]
-            if len(gamma) < need:
-                return False
-    return True
 
 
 def kwise_uniformity_check(field: FieldSpec, indep_k: int, points) -> bool:

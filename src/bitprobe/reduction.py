@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import Bitmap
-from .graph import Graph, edge_targets, marked_neighbors, neighbor
+from .graph import SeededGraph, edge_targets, marked_neighbors, neighbor
 
 # Points per slot_overlap_counts chunk: bounds the int64 neighbor table
 # (8 bytes per slot, 2 MiB) that a scan holds at once.
@@ -38,13 +38,13 @@ def overlap_threshold(d: int, eps) -> int:
     return math.ceil(Fraction(eps) * d)
 
 
-def probe_overlap(g: Graph, v: int, marked: Bitmap) -> int:
+def probe_overlap(g: SeededGraph, v: int, marked: Bitmap) -> int:
     """Number of probe slots of v whose target bit is set in ``marked``."""
     d = g.params.d
     return sum(marked.get(neighbor(g, v, i)) for i in range(d))
 
 
-def slot_overlap_counts(g: Graph, marked_flags: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def slot_overlap_counts(g: SeededGraph, marked_flags: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-row slot overlap against a boolean marked array, chunked."""
     d = g.params.d
     rows = np.asarray(rows, dtype=np.int64)
@@ -59,7 +59,7 @@ def slot_overlap_counts(g: Graph, marked_flags: np.ndarray, rows: np.ndarray) ->
     return counts
 
 
-def check_strong_reduction(g: Graph, A, eps, scope=None) -> ReductionReport:
+def check_strong_reduction(g: SeededGraph, A, eps, scope=None) -> ReductionReport:
     """Report every scope vertex with >= ceil(eps*d) slots in Gamma(A).
 
     ``scope=None`` means all of L outside A.  An explicit scope must be
@@ -83,9 +83,3 @@ def check_strong_reduction(g: Graph, A, eps, scope=None) -> ReductionReport:
     violating = tuple(int(v) for v in rows[counts >= threshold])
     return ReductionReport(violating, threshold, len(rows))
 
-
-def check_reduction_property(g: Graph, A, eps) -> bool:
-    """At most |A|/2 outside vertices exceed the overlap threshold."""
-    A = set(A)
-    report = check_strong_reduction(g, A, eps, scope=None)
-    return len(report.violating) <= len(A) // 2

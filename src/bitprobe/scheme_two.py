@@ -17,14 +17,9 @@ import random
 
 from . import scheme
 from .gf import GF2_64, FieldSpec
-from .graph import Graph, GraphParams, SeededGraph, neighborhood_bitmap
+from .graph import GraphParams, SeededGraph, neighborhood_bitmap
 from .reduction import check_strong_reduction
 from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
-
-
-def compute_misclassified(g1: Graph, A, eps) -> list:
-    """W: outside vertices with >= ceil(eps*d) probe slots in Gamma(A)."""
-    return list(check_strong_reduction(g1, A, eps, scope=None).violating)
 
 
 class TwoProbeScheme(Scheme):
@@ -50,7 +45,7 @@ def encode_with_params(A, params: GraphParams, *, indep_k: int,
     rng = random.Random(master_seed)
 
     def few_misclassified(g):
-        w = compute_misclassified(g, A, params.eps)
+        w = check_strong_reduction(g, A, params.eps).violating
         return w if len(w) <= len(A) // 2 else None
 
     g1, w, retries1 = search(rng, params, indep_k, field, max_retries, few_misclassified,

@@ -3,6 +3,10 @@ graph builders.  The reference code here deliberately reimplements field
 arithmetic from scratch so library bugs cannot hide behind themselves.
 """
 
+import functools
+import itertools
+import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,9 +15,13 @@ import numpy as np
 
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme
-from bitprobe.graph import ExplicitGraph, GraphParams
-from bitprobe.oracle import verify_expander
+from bitprobe.gf import GF2_16, PolySeed
+from bitprobe.graph import GraphParams, SeededGraph, edge_targets
+from bitprobe.oracle import BudgetExceeded
 from bitprobe.scheme import Stage
+
+# verify_expander default: total subsets enumerated.
+DEFAULT_SUBSET_BUDGET = 200_000
 
 
 def naive_gf_mul(a, b, width, poly_mask):
@@ -110,17 +118,110 @@ def toy_params(m, s, d, eps, n_cap=1):
                        d=d, eps=Fraction(eps))
 
 
+_GF16_ORDER = (1 << 16) - 1  # of the multiplicative group
+
+
+@functools.cache
+def _gf16_tables():
+    """Antilog and log tables of GF(2^16) mod x^16 + x^5 + x^3 + x + 1 (the
+    library's polynomial) over powers of the generator x + 1, built with
+    shifts and XORs alone.  log[0] is 2 * order and exp is zero from there
+    up, so a product or quotient with a zero operand looks up 0."""
+    powers, a = [], 1
+    for _ in range(_GF16_ORDER):
+        powers.append(a)
+        a ^= a << 1  # times x + 1
+        if a >> 16:
+            a ^= 0x1002B
+    assert a == 1 and len(set(powers)) == _GF16_ORDER  # x + 1 generates
+    exp = np.zeros(4 * _GF16_ORDER + 1, dtype=np.int64)
+    exp[:2 * _GF16_ORDER] = powers + powers
+    log = np.full(1 << 16, 2 * _GF16_ORDER, dtype=np.int64)
+    log[powers] = np.arange(_GF16_ORDER)
+    return exp, log
+
+
+def _gf16_mul(a, b):
+    exp, log = _gf16_tables()
+    return exp[log[a] + log[b]]
+
+
+def _gf16_div(a, b):
+    """a / b for nonzero b."""
+    exp, log = _gf16_tables()
+    return exp[log[a] - log[b] + _GF16_ORDER]
+
+
+def interpolating_coeffs(ys) -> np.ndarray:
+    """Coefficients (x^0 first) of the polynomial over GF(2^16) of degree
+    below n = len(ys) <= 2^16 that takes the value ys[j] at the field
+    element j: Newton divided differences, then the Newton form expanded
+    by Horner."""
+    c = np.array(ys, dtype=np.int64)
+    xs = np.arange(len(c), dtype=np.int64)
+    for level in range(1, len(c)):
+        c[level:] = _gf16_div(c[level:] ^ c[level - 1:-1], xs[level:] ^ xs[:-level])
+    coeffs = np.zeros(len(c), dtype=np.int64)
+    for j in range(len(c) - 1, -1, -1):  # coeffs <- coeffs * (x + j) + c[j]
+        shifted = _gf16_mul(coeffs, xs[j])
+        shifted[1:] ^= coeffs[:-1]
+        shifted[0] ^= c[j]
+        coeffs = shifted
+    return coeffs
+
+
 def explicit_graph(rows, s, eps=Fraction(1, 2), n_cap=None):
-    """Explicit graph from a list of per-vertex neighbor lists."""
-    m = len(rows)
-    d = len(rows[0])
+    """A seeded graph with exactly the given per-vertex neighbor lists: its
+    GF(2^16) seed polynomial interpolates the table at the edge indices
+    0 ... m*d - 1.  Checking the table through ``edge_targets`` also checks
+    the bulk evaluator at k = m*d against an independent construction."""
+    table = np.array(rows, dtype=np.int64)
+    m, d = table.shape
     params = toy_params(m, s, d, eps, n_cap=n_cap if n_cap is not None else max(1, m - 1))
-    return ExplicitGraph(params, np.array(rows, dtype=np.int64))
+    coeffs = tuple(int(c) for c in interpolating_coeffs(table.ravel()))
+    g = SeededGraph(params, PolySeed(coeffs, GF2_16))
+    assert np.array_equal(edge_targets(g), table)
+    return g
+
+
+def random_rows(rng: random.Random, m, s, d):
+    return [[rng.randrange(s) for _ in range(d)] for _ in range(m)]
 
 
 def random_explicit_graph(rng: random.Random, m, s, d, eps=Fraction(1, 2), n_cap=None):
-    rows = [[rng.randrange(s) for _ in range(d)] for _ in range(m)]
-    return explicit_graph(rows, s, eps, n_cap)
+    return explicit_graph(random_rows(rng, m, s, d), s, eps, n_cap)
+
+
+def verify_expander(adjacency, k_max, delta, budget=DEFAULT_SUBSET_BUDGET) -> bool:
+    """Exhaustively check |Gamma(A)| >= (1-delta) d |A| for every |A| <= k_max
+    of an (m, d) neighbor table; neighborhoods are int bitsets."""
+    m, d = np.shape(adjacency)
+    total = sum(math.comb(m, j) for j in range(1, k_max + 1))
+    if total > budget:
+        raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
+    masks = [sum(1 << w for w in set(map(int, row))) for row in adjacency]
+    for j in range(1, k_max + 1):
+        need = math.ceil((1 - Fraction(delta)) * d * j)
+        for A in itertools.combinations(masks, j):
+            if functools.reduce(operator.or_, A).bit_count() < need:
+                return False
+    return True
+
+
+def check_reduction_property(adjacency, A, eps) -> bool:
+    """The plain reduction property of an (m, d) neighbor table, by brute
+    force: at most |A|/2 vertices outside A have >= ceil(eps*d) probe
+    slots in Gamma(A)."""
+    adjacency = np.asarray(adjacency)
+    m, d = adjacency.shape
+    A = sorted(set(A))
+    gamma = np.zeros(int(adjacency.max()) + 1, dtype=bool)
+    gamma[adjacency[A].ravel()] = True
+    outside = np.ones(m, dtype=bool)
+    outside[A] = False
+    slots = gamma[adjacency].sum(axis=1)
+    violators = np.count_nonzero(outside & (slots >= math.ceil(Fraction(eps) * d)))
+    return violators <= len(A) // 2
 
 
 # Parameters for which a random graph is a verified expander most of the
@@ -131,7 +232,8 @@ TINY_EPS = Fraction(1, 2)  # delta = eps/4
 
 
 def verified_tiny_expanders(count, master_seed=2024, n_cap=TINY_K_MAX):
-    """Deterministically generate `count` oracle-verified tiny expanders."""
+    """Deterministically generate `count` exhaustively verified tiny
+    expanders; only accepted tables are interpolated."""
     rng = random.Random(master_seed)
     graphs = []
     attempts = 0
@@ -139,7 +241,7 @@ def verified_tiny_expanders(count, master_seed=2024, n_cap=TINY_K_MAX):
         attempts += 1
         if attempts > 20 * count:
             raise RuntimeError("expander generation stalled")
-        g = random_explicit_graph(rng, TINY_M, TINY_S, TINY_D, TINY_EPS, n_cap=n_cap)
-        if verify_expander(g, TINY_K_MAX, TINY_DELTA):
-            graphs.append(g)
+        rows = random_rows(rng, TINY_M, TINY_S, TINY_D)
+        if verify_expander(rows, TINY_K_MAX, TINY_DELTA):
+            graphs.append(explicit_graph(rows, TINY_S, TINY_EPS, n_cap))
     return graphs

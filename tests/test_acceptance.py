@@ -19,10 +19,9 @@ from bitprobe import bmrv, scheme_one, scheme_two, storage
 from bitprobe.bmrv import default_max_iters, greedy_label
 from bitprobe.cli import main
 from bitprobe.gf import GF2_3, default_indep_k, draw_seed
-from bitprobe.graph import SeededGraph, derive_params, materialize, neighbor
+from bitprobe.graph import SeededGraph, derive_params, edge_targets, neighbor
 from bitprobe.oracle import error_profile, kwise_uniformity_check
 from bitprobe.reduction import (
-    check_reduction_property,
     check_strong_reduction,
     slot_overlap_counts,
 )
@@ -32,6 +31,7 @@ from helpers import (
     TINY_EPS,
     TINY_K_MAX,
     CountingBitmap,
+    check_reduction_property,
     scheme_of,
     verified_tiny_expanders,
     with_bitmaps,
@@ -254,9 +254,10 @@ def test_criterion_7_oracle_equivalences(capsys):
 
     # (a) expansion implies the reduction property, for every |A| <= k_max/2
     for gi, g in enumerate(verified_tiny_expanders(3, master_seed=0xACCE70)):
+        table = edge_targets(g)
         for size in range(1, TINY_K_MAX // 2 + 1):
             for A in itertools.combinations(range(g.params.m), size):
-                if not check_reduction_property(g, A, TINY_EPS):
+                if not check_reduction_property(table, A, TINY_EPS):
                     problems.append(f"reduction property: graph {gi}, A={A}")
 
     # (b) exact k-wise uniformity over GF(2^3), all point sets, k <= 3
@@ -268,16 +269,16 @@ def test_criterion_7_oracle_equivalences(capsys):
         if kwise_uniformity_check(GF2_3, k, list(range(k + 1))):
             problems.append(f"kwise negative control failed at k={k}")
 
-    # (c) seeded vs materialized neighbor agreement on 10^4 random pairs
+    # (c) scalar neighbor vs the bulk edge table on 10^4 random seeded pairs
     rng = random.Random(0xACCE7C)
     params = derive_params(8, 2, Fraction(1, 2))
     g = SeededGraph(params, draw_seed(rng, INDEP_K))
-    eg = materialize(g)
-    mism = sum(neighbor(g, v, i) != neighbor(eg, v, i)
+    table = edge_targets(g)
+    mism = sum(neighbor(g, v, i) != table[v, i]
                for v, i in ((rng.randrange(params.m), rng.randrange(params.d))
                             for _ in range(10_000)))
     if mism:
-        problems.append(f"{mism} seeded/materialized mismatches")
+        problems.append(f"{mism} scalar/bulk mismatches")
     capsys.readouterr()
     _report(7, "oracle equivalences", not problems,
             "; ".join(problems) if problems else

@@ -46,7 +46,7 @@ def test_build_empty_set(tmp_path, capsys):
     out, summary = build(tmp_path, [], capsys, u=6)
     assert summary["retries_used"] == "1"
     sch = storage.load(open(out, "rb").read())
-    assert sch.stages[0].bitmap.popcount() == 0
+    assert sch.stages[0].bitmap.as_bool_array().sum() == 0
 
 
 def test_build_is_byte_identical_across_runs(tmp_path, capsys):
@@ -79,6 +79,16 @@ def test_build_retries_exhausted_exit_code(tmp_path, capsys):
                "--indep-k", "1"])
     assert rc == 2
     assert "after 1 attempts (failure rate 1/1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_build_rejects_master_seed_outside_u64(tmp_path, capsys, seed):
+    out = tmp_path / "x.bps"
+    rc = main(["build", write_set(tmp_path, [1]), "-o", str(out), "--universe-bits", "4",
+               "--eps", "1/2", "--indep-k", "6", "--master-seed", str(seed)])
+    assert rc == 2
+    assert f"build failed: --master-seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,9 +209,9 @@ def test_verify_output_matches_golden(tmp_path, capsys, kind):
     for variant in ("intact", "cut"):
         if variant == "cut":
             sch = storage.load(open(out, "rb").read())
-            bitmaps = [Bitmap.from_bytes(st.bitmap.nbits, st.bitmap.to_bytes())
-                       for st in sch.stages]
-            bitmaps[-1].set(neighbor(sch.stages[-1].graph, 3, 0), 0)
+            flags = [st.bitmap.as_bool_array() for st in sch.stages]
+            flags[-1][neighbor(sch.stages[-1].graph, 3, 0)] = False
+            bitmaps = map(Bitmap.from_bool_array, flags)
             open(out, "wb").write(storage.save(with_bitmaps(sch, *bitmaps)))
         csv_path = tmp_path / f"{variant}.csv"
         rc = main(["verify", out, set_file, "-o", str(csv_path)])
@@ -216,6 +226,20 @@ def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):
     rc = main(["verify", out, write_set(tmp_path, elements)])
     assert rc == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_malformed_budget_fails_as_bad_input(tmp_path, capsys, monkeypatch, raw, command):
+    out, _ = build(tmp_path, [1, 2], capsys, u=6)
+    csv_path = tmp_path / "out.csv"
+    argv = {"verify": ["verify", out, write_set(tmp_path, [1, 2])],
+            "bench": ["bench", "--u-list", "6", "--eps-list", "1/2", "--trials", "1"]}
+    monkeypatch.setenv("BITPROBE_BUDGET", raw)
+    rc = main(argv[command] + ["-o", str(csv_path)])
+    assert rc == 2
+    assert f"BITPROBE_BUDGET must be an integer >= 0, got {raw!r}" in capsys.readouterr().err
+    assert not csv_path.exists()  # rejected before any work
 
 
 def test_bench_grid_and_empty_grid(tmp_path, capsys):

@@ -10,13 +10,8 @@ from bitprobe import scheme_one, scheme_two
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme, greedy_label
 from bitprobe.gf import GF2_3, GF2_8
-from bitprobe.oracle import (
-    BudgetExceeded,
-    error_profile,
-    kwise_uniformity_check,
-    verify_expander,
-)
-from bitprobe.reduction import check_reduction_property
+from bitprobe.graph import edge_targets
+from bitprobe.oracle import BudgetExceeded, error_profile, kwise_uniformity_check
 from bitprobe.scheme import exact_error
 from bitprobe.scheme_one import OneProbeScheme
 from bitprobe.scheme_two import TwoProbeScheme
@@ -25,10 +20,12 @@ from helpers import (
     TINY_DELTA,
     TINY_EPS,
     TINY_K_MAX,
+    check_reduction_property,
     explicit_graph,
-    random_explicit_graph,
+    random_rows,
     scheme_of,
     verified_tiny_expanders,
+    verify_expander,
 )
 
 
@@ -155,39 +152,39 @@ def test_profile_equals_the_scalar_exact_error(case):
 
 
 def test_verify_expander_disjoint_neighborhoods():
-    g = explicit_graph([[v * 3 + i for i in range(3)] for v in range(5)], s=16)
+    rows = [[v * 3 + i for i in range(3)] for v in range(5)]
     for k_max in (1, 2, 3):
-        assert verify_expander(g, k_max, Fraction(1, 100))
+        assert verify_expander(rows, k_max, Fraction(1, 100))
 
 
 def test_verify_expander_star_graph_fails():
-    g = explicit_graph([[0, 0, 0] for _ in range(5)], s=2)
-    assert not verify_expander(g, 2, Fraction(1, 4))
-    assert not verify_expander(g, 1, Fraction(1, 4))  # multi-edges collapse
+    rows = [[0, 0, 0] for _ in range(5)]
+    assert not verify_expander(rows, 2, Fraction(1, 4))
+    assert not verify_expander(rows, 1, Fraction(1, 4))  # multi-edges collapse
 
 
 def test_verify_expander_majority_of_random_toys_pass():
     rng = random.Random(321)
     passed = sum(
-        verify_expander(random_explicit_graph(rng, 24, 1024, 8), TINY_K_MAX, TINY_DELTA)
+        verify_expander(random_rows(rng, 24, 1024, 8), TINY_K_MAX, TINY_DELTA)
         for _ in range(21))
     assert passed > 10
 
 
 def test_verify_expander_budget():
-    g = random_explicit_graph(random.Random(0), m=24, s=1024, d=8)
+    rows = random_rows(random.Random(0), m=24, s=1024, d=8)
     with pytest.raises(BudgetExceeded):
-        verify_expander(g, 4, TINY_DELTA, budget=100)
+        verify_expander(rows, 4, TINY_DELTA, budget=100)
 
 
 def test_expansion_implies_reduction_property_exhaustively():
     # delta <= eps/4 expansion forces the reduction property for every
     # |A| <= k_max/2, checked over every such subset.
     for g in verified_tiny_expanders(2, master_seed=77):
-        m = g.params.m
+        table = edge_targets(g)
         for size in (1, 2):
-            for A in itertools.combinations(range(m), size):
-                assert check_reduction_property(g, A, TINY_EPS)
+            for A in itertools.combinations(range(g.params.m), size):
+                assert check_reduction_property(table, A, TINY_EPS)
 
 
 def test_kwise_uniformity_positive_cases():

@@ -8,7 +8,7 @@ from bitprobe import scheme_two
 from bitprobe.graph import GraphParams, neighborhood_bitmap
 from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_overlap
 from bitprobe.scheme import RetriesExhausted, exact_error
-from bitprobe.scheme_two import compute_misclassified, encode, query
+from bitprobe.scheme_two import encode, query
 
 from helpers import CountingBitmap, explicit_graph, with_bitmaps
 
@@ -24,12 +24,12 @@ def w_scheme():
 
 def test_misclassified_empty_when_strong_reduction_holds():
     sch = encode([3, 60], 6, Fraction(1, 2), indep_k=5, master_seed=2)
-    assert compute_misclassified(sch.g1, [3, 60], Fraction(1, 2)) == []
+    assert check_strong_reduction(sch.g1, [3, 60], Fraction(1, 2)).violating == ()
 
 
 def test_misclassified_star_graph_is_everything_outside():
     g = explicit_graph([[0] * 4 for _ in range(6)], s=2)
-    assert compute_misclassified(g, [2], Fraction(1, 2)) == [0, 1, 3, 4, 5]
+    assert check_strong_reduction(g, [2], Fraction(1, 2)).violating == (0, 1, 3, 4, 5)
 
 
 def test_misclassified_engineered_single_vertex():
@@ -46,7 +46,7 @@ def test_misclassified_engineered_single_vertex():
         [7, 6, 5, 4],
     ]
     g = explicit_graph(rows, s=16)
-    assert compute_misclassified(g, [0], Fraction(1, 2)) == [5]
+    assert check_strong_reduction(g, [0], Fraction(1, 2)).violating == (5,)
 
 
 def test_empty_set_encodes_trivially():
@@ -54,15 +54,15 @@ def test_empty_set_encodes_trivially():
     assert sch.w_size == 0
     assert sch.stages[0].retries == 1
     assert sch.stages[1].retries == 1
-    assert sch.stages[0].bitmap.popcount() == 0
-    assert sch.stages[1].bitmap.popcount() == 0
+    assert sch.stages[0].bitmap.as_bool_array().sum() == 0
+    assert sch.stages[1].bitmap.as_bool_array().sum() == 0
     assert not query(sch, 17, (0, 0))
 
 
 def test_w_bound_and_bitmaps_exact():
     sch = w_scheme()
     assert 0 < sch.w_size <= len(W_SET) // 2
-    w = compute_misclassified(sch.g1, W_SET, sch.eps)
+    w = check_strong_reduction(sch.g1, W_SET, sch.eps).violating
     assert len(w) == sch.w_size
     assert sch.stages[0].bitmap == neighborhood_bitmap(sch.g1, W_SET)
     assert sch.stages[1].bitmap == neighborhood_bitmap(sch.g2, W_SET)
@@ -84,7 +84,7 @@ def test_exact_error_factorizes_and_stays_below_eps():
     sch = w_scheme()
     d = sch.params.d
     members = set(W_SET)
-    w = set(compute_misclassified(sch.g1, W_SET, sch.eps))
+    w = set(check_strong_reduction(sch.g1, W_SET, sch.eps).violating)
     t = overlap_threshold(d, sch.eps)
     for x in range(sch.params.m):
         true_pairs = sum(query(sch, x, (i1, i2))
