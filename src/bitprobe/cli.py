@@ -115,7 +115,7 @@ def cmd_build(args) -> int:
         scheme = _ENCODERS[args.kind](A, args.universe_bits, args.eps, **kwargs)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         data = storage.save(scheme)
-    except (ValueError, OSError, RetriesExhausted) as exc:
+    except (ValueError, OSError, RetriesExhausted, MemoryError) as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
     with open(args.output, "wb") as fh:
@@ -200,6 +200,7 @@ def _bench_cell(u, n, eps, kind, args, budget):
     encode = _ENCODERS[kind]
     encode_ms = []
     seeds_tried = 0
+    max_error, holds = Fraction(0), True
     m = 1 << u
     for trial in range(args.trials):
         A = sorted(rng.sample(range(m), n))
@@ -208,21 +209,22 @@ def _bench_cell(u, n, eps, kind, args, budget):
                         master_seed=args.master_seed + trial, field=field)
         encode_ms.append((time.perf_counter() - t0) * 1000.0)
         seeds_tried += scheme.retries
+        profile = error_profile(scheme, A, budget)
+        max_error = max(max_error, profile.max_nonmember_error, profile.max_member_error)
+        holds &= profile.holds
     qrng = random.Random(args.master_seed)
     queries = 512
     t0 = time.perf_counter_ns()
     for _ in range(queries):
         query(scheme, qrng.randrange(m), qrng)
     query_ns = (time.perf_counter_ns() - t0) / queries
-    profile = error_profile(scheme, A, budget)
-    max_error = max(profile.max_nonmember_error, profile.max_member_error)
     seeds_accepted = args.trials * len(scheme.stages)
     return [u, n, _format_rate(eps), kind, scheme.bitmap_bits, scheme.cache_bits,
             f"{seeds_tried / args.trials:.3f}",
             max_error.numerator, max_error.denominator,
             f"{sum(encode_ms) / len(encode_ms):.3f}", f"{query_ns:.0f}",
             f"{seeds_accepted / seeds_tried:.4f}",
-            "ok" if profile.holds else "violated"]
+            "ok" if holds else "violated"]
 
 
 def cmd_bench(args) -> int:
@@ -237,7 +239,7 @@ def cmd_bench(args) -> int:
         for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
             try:
                 row = _bench_cell(u, n, eps, args.kind, args, budget)
-            except (ValueError, RetriesExhausted, BudgetExceeded) as exc:
+            except (ValueError, RetriesExhausted, BudgetExceeded, MemoryError) as exc:
                 row = [u, n, _format_rate(eps), args.kind] + [""] * 8
                 row += [f"{type(exc).__name__}"]
             violated |= row[-1] == "violated"

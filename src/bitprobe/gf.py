@@ -249,8 +249,10 @@ def seed_from_index(index: int, indep_k: int, field: FieldSpec) -> PolySeed:
 
 def draw_seed(rng, indep_k: int, field: FieldSpec = GF2_64) -> PolySeed:
     """Draw the next seed from ``rng`` (anything with ``getrandbits``)."""
-    if indep_k < 1:
-        raise ValueError("indep_k must be >= 1")
+    most = ((1 << 31) - 1) // field.width_bits  # getrandbits takes a C int
+    if not 1 <= indep_k <= most:
+        raise ValueError(f"indep_k must be in [1, {most}] in GF(2^{field.width_bits}), "
+                         f"got {indep_k}")
     raw = rng.getrandbits(field.width_bits * indep_k)
     return seed_from_index(raw, indep_k, field)
 

@@ -28,8 +28,10 @@ Layout (all integers little-endian):
 d and log2_s must be the sizing that derive_params gives for universe_bits,
 n_cap, eps and the field: a file with a smaller d would claim eps but
 deliver a weaker bound, so neither save nor load accepts one.
-Every section offset is computable from the header alone, so the bitmap
-can be read without touching the seed and vice versa.
+section_layout places every section from the header alone, so the bitmap
+can be read without touching the seed and vice versa.  save joins the
+sections in that table's order; load checks the file's total length
+against it, then reads every section at the offset it gives.
 """
 
 import math
@@ -82,17 +84,6 @@ def _elem_bytes(width: int) -> int:
     return (width + 7) >> 3
 
 
-def _pack_seed(seed: PolySeed) -> bytes:
-    nb = _elem_bytes(seed.field.width_bits)
-    out = [struct.pack("<I", _u32(len(seed.coeffs), "indep_k"))]
-    out += [c.to_bytes(nb, "little") for c in seed.coeffs]
-    return b"".join(out)
-
-
-def _pack_bitmap(bm: Bitmap) -> bytes:
-    return struct.pack("<Q", bm.nbits) + bm.to_bytes()
-
-
 def _sized(universe_bits: int, n_cap: int, eps: Fraction, field_width: int,
            d: int, log2_s: int) -> GraphParams:
     """The graph shape of a file, which must be the derived sizing."""
@@ -110,6 +101,11 @@ def _sized(universe_bits: int, n_cap: int, eps: Fraction, field_width: int,
 def _scalar_names(stages: int) -> list:
     """The u32 scalars after the header: n_cap, retries per stage, |W|."""
     return ["n_cap"] + ["retries"] * stages + (["w_size"] if stages > 1 else [])
+
+
+def _suffixes(stages: int) -> list:
+    """Section name suffixes, one per stage: "seed" alone, or "seed1", "seed2"."""
+    return [""] if stages == 1 else [str(i) for i in range(1, stages + 1)]
 
 
 def save(scheme: Scheme) -> bytes:
@@ -140,10 +136,15 @@ def save(scheme: Scheme) -> bytes:
     )
     values = ([params.n_cap] + [st.retries for st in scheme.stages]
               + ([scheme.w_size] if len(seeds) > 1 else []))
-    scalars = b"".join(struct.pack("<I", _u32(value, name))
-                       for value, name in zip(values, _scalar_names(len(seeds))))
-    return (head + scalars + b"".join(_pack_seed(seed) for seed in seeds)
-            + b"".join(_pack_bitmap(st.bitmap) for st in scheme.stages))
+    section = {"header": head, "scalars": b"".join(
+        struct.pack("<I", _u32(value, name))
+        for value, name in zip(values, _scalar_names(len(seeds))))}
+    nb = _elem_bytes(field_width)
+    for suffix, seed, st in zip(_suffixes(len(seeds)), seeds, scheme.stages):
+        section["seed" + suffix] = struct.pack("<I", _u32(seed.indep_k, "indep_k")) + b"".join(
+            [c.to_bytes(nb, "little") for c in seed.coeffs])
+        section["bitmap" + suffix] = struct.pack("<Q", st.bitmap.nbits) + st.bitmap.to_bytes()
+    return b"".join([section[name] for name, _, _ in section_layout(head)])
 
 
 def _parse_header(data: bytes) -> dict:
@@ -185,71 +186,50 @@ def section_layout(data: bytes) -> list:
     stages = _CLASSES[h["kind"]].STAGES
     seed_len = 4 + h["indep_k"] * _elem_bytes(h["field_width"])
     bitmap_len = 8 + (((1 << h["log2_s"]) + 7) >> 3)
-    layout = [("header", 0, HEADER_SIZE),
-              ("scalars", HEADER_SIZE, 4 * len(_scalar_names(stages)))]
-    pos = layout[-1][1] + layout[-1][2]
-    suffixes = [""] if stages == 1 else [str(i) for i in range(1, stages + 1)]
-    for name, length in [("seed", seed_len), ("bitmap", bitmap_len)]:
-        for suffix in suffixes:
-            layout.append((name + suffix, pos, length))
-            pos += length
+    regions = [("header", HEADER_SIZE), ("scalars", 4 * len(_scalar_names(stages)))]
+    regions += [(name + suffix, length)
+                for name, length in [("seed", seed_len), ("bitmap", bitmap_len)]
+                for suffix in _suffixes(stages)]
+    layout, pos = [], 0
+    for name, length in regions:
+        layout.append((name, pos, length))
+        pos += length
     return layout
 
 
-class _Reader:
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedSection(f"truncated {what}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-
-def _read_seed(r: _Reader, h: dict) -> PolySeed:
-    count = r.u32("seed count")
-    if count != h["indep_k"]:
-        raise InvariantViolation(f"seed count {count} != header indep_k {h['indep_k']}")
-    field = FIELDS_BY_WIDTH[h["field_width"]]
-    nb = _elem_bytes(field.width_bits)
-    raw = r.take(count * nb, "seed elements")
-    coeffs = tuple(int.from_bytes(raw[i * nb:(i + 1) * nb], "little")
-                   for i in range(count))
-    for c in coeffs:
-        if c >= field.order:
-            raise InvariantViolation(f"seed element {c} outside the field")
-    return PolySeed(coeffs, field)
-
-
-def _read_bitmap(r: _Reader, h: dict) -> Bitmap:
-    nbits = r.u64("bitmap length")
-    if nbits != 1 << h["log2_s"]:
-        raise InvariantViolation(f"bitmap of {nbits} bits, expected s = {1 << h['log2_s']}")
-    return Bitmap.from_bytes(nbits, r.take((nbits + 7) >> 3, "bitmap bytes"))
-
-
 def load(data: bytes) -> Scheme:
-    """Parse a scheme file back into its scheme object."""
+    """Parse a scheme file back into its scheme object: the file must be as
+    long as section_layout says, and each section is read at its offset."""
     h = _parse_header(data)
     cls = _CLASSES[h["kind"]]
-    r = _Reader(data, HEADER_SIZE)
-    n_cap, *retries = [r.u32(name) for name in _scalar_names(cls.STAGES)]
+    layout = section_layout(data)
+    for name, off, length in layout:
+        if off + length > len(data):
+            raise TruncatedSection(f"truncated {name}: {len(data)} of {off + length} bytes")
+    if off + length != len(data):
+        raise InvariantViolation(f"{len(data) - off - length} trailing bytes after sections")
+    view = memoryview(data)
+    section = {name: view[off:off + length] for name, off, length in layout}
+    n_cap, *retries = struct.unpack(f"<{len(section['scalars']) // 4}I", section["scalars"])
     w_size = retries.pop() if cls.STAGES > 1 else 0
     params = _sized(h["universe_bits"], n_cap, h["eps"], h["field_width"],
                     h["d"], h["log2_s"])
-    seeds = [_read_seed(r, h) for _ in range(cls.STAGES)]
-    bitmaps = [_read_bitmap(r, h) for _ in range(cls.STAGES)]
-    if r.pos != len(data):
-        raise InvariantViolation(f"{len(data) - r.pos} trailing bytes after sections")
-    stages = tuple(Stage(SeededGraph(params, seed), bm, n)
-                   for seed, bm, n in zip(seeds, bitmaps, retries))
-    return cls(stages, h["master_seed"], w_size)
+    field = FIELDS_BY_WIDTH[h["field_width"]]
+    nb = _elem_bytes(field.width_bits)
+    stages = []
+    for suffix, n in zip(_suffixes(cls.STAGES), retries):
+        raw = section["seed" + suffix]
+        (count,) = struct.unpack_from("<I", raw)
+        if count != h["indep_k"]:
+            raise InvariantViolation(f"seed count {count} != header indep_k {h['indep_k']}")
+        coeffs = tuple(int.from_bytes(raw[i:i + nb], "little") for i in range(4, len(raw), nb))
+        for c in coeffs:
+            if c >= field.order:
+                raise InvariantViolation(f"seed element {c} outside the field")
+        raw = section["bitmap" + suffix]
+        (nbits,) = struct.unpack_from("<Q", raw)
+        if nbits != 1 << h["log2_s"]:
+            raise InvariantViolation(f"bitmap of {nbits} bits, expected s = {1 << h['log2_s']}")
+        stages.append(Stage(SeededGraph(params, PolySeed(coeffs, field)),
+                            Bitmap.from_bytes(nbits, raw[8:]), n))
+    return cls(tuple(stages), h["master_seed"], w_size)

@@ -301,17 +301,54 @@ def test_bmrv_verify_is_two_sided(tmp_path, capsys):
     assert "verdict=fail" in capsys.readouterr().err
 
 
-def test_bench_status_checks_the_guarantee(tmp_path, capsys, monkeypatch):
-    def encode_empty(*args, **kwargs):
-        sch = scheme_one.encode(*args, **kwargs)
-        return with_bitmaps(sch, Bitmap(sch.params.s))
+@pytest.mark.parametrize("bad_trial", [0, 2])
+def test_bench_status_checks_the_guarantee(tmp_path, capsys, monkeypatch, bad_trial):
+    # every build of the cell is verified, not only the last one
+    builds = []
 
-    monkeypatch.setitem(cli._ENCODERS, "one", encode_empty)
+    def encode_one_empty(*args, **kwargs):
+        sch = scheme_one.encode(*args, **kwargs)
+        builds.append(sch)
+        return with_bitmaps(sch, Bitmap(sch.params.s)) if len(builds) == bad_trial + 1 else sch
+
+    monkeypatch.setitem(cli._ENCODERS, "one", encode_one_empty)
     rc = main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
-               "--trials", "1", "--indep-k", "4"])
+               "--trials", "3", "--indep-k", "4"])
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(builds) == 3
     assert rows[0]["status"] == "violated"
+    # the empty bitmap answers false for its members: error 1
+    assert (rows[0]["max_error_num"], rows[0]["max_error_den"]) == ("1", "1")
     assert rc == 1
+
+
+# Encodes that cannot run: a seed of 2^32 coefficients would be drawn by
+# one getrandbits call of 2^38 bits, and the scan of 2^56 elements asks for
+# 512 PiB, more than the (at most 57-bit) virtual addresses of current
+# 64-bit processors reach, so both fail at once without allocating.
+UNRUNNABLE_ENCODES = [
+    (6, ["--indep-k", str(1 << 32)], "ValueError"),
+    (56, [], "MemoryError"),
+]
+
+
+@pytest.mark.parametrize("u,flags,error", UNRUNNABLE_ENCODES)
+def test_build_that_cannot_run_fails_as_bad_input(tmp_path, capsys, u, flags, error):
+    out = tmp_path / "x.bps"
+    rc = main(["build", write_set(tmp_path, [1, 2]), "-o", str(out),
+               "--universe-bits", str(u), "--eps", "1/2", *flags])
+    assert rc == 2
+    assert "build failed: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("u,flags,error", UNRUNNABLE_ENCODES)
+def test_bench_cell_that_cannot_run_reports_its_error(capsys, u, flags, error):
+    rc = main(["bench", "--u-list", str(u), "--n-list", "2", "--eps-list", "1/2",
+               "--trials", "1", *flags])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0]["status"] == error
+    assert rc == 0
 
 
 def test_bench_rejects_zero_trials(capsys):

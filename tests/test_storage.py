@@ -75,14 +75,22 @@ def test_unsupported_version():
         load(bytes(blob))
 
 
-def test_truncation_everywhere():
-    blob = save(one_probe())
+@pytest.mark.parametrize("make", [one_probe, two_probe, bmrv_scheme])
+def test_truncation_everywhere(make):
+    blob = save(make())
     rng = random.Random(0)
     cuts = {1, 5, 20, storage.HEADER_SIZE + 2, len(blob) - 1}
     cuts |= {rng.randrange(1, len(blob)) for _ in range(20)}
+    for _, off, length in section_layout(blob):
+        cuts |= {off, off + length - 1}
+    # the length is checked before any section is decoded, so a cut file
+    # with a bad n_cap is reported as truncated too
+    bad = bytearray(blob)
+    struct.pack_into("<I", bad, storage.HEADER_SIZE, 0)
     for cut in cuts:
-        with pytest.raises(TruncatedSection):
-            load(blob[:cut])
+        for data in (blob, bytes(bad)):
+            with pytest.raises(TruncatedSection):
+                load(data[:cut])
 
 
 def test_eps_zero_denominator_rejected():
@@ -141,6 +149,7 @@ def test_seed_count_must_match_header():
 @pytest.mark.parametrize("make,names", [
     (one_probe, ["header", "scalars", "seed", "bitmap"]),
     (two_probe, ["header", "scalars", "seed1", "seed2", "bitmap1", "bitmap2"]),
+    (bmrv_scheme, ["header", "scalars", "seed", "bitmap"]),
 ])
 def test_section_layout_gives_random_access(make, names):
     sch = make()
