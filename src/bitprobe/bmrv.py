@@ -12,7 +12,6 @@ membership, matching the reduction checkers' tie rule.
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import scheme
 from .bits import Bitmap
 from .gf import GF2_64, FieldSpec
 from .graph import GraphParams, SeededGraph, edge_targets
-from .reduction import overlap_threshold
+from .reduction import SCAN_CHUNK_POINTS, overlap_threshold, slot_overlap_counts
 from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
 
 
@@ -39,64 +38,50 @@ class NonConvergence(Exception):
 
 @dataclass(frozen=True)
 class Labeling:
-    """bits over [0, s); iterations = relabeling rounds performed (the
-    initial Gamma(A) marking counts as round 1 when A is nonempty); trace =
-    erroneous-set size per subsequent round."""
+    """What greedy_label returns: bits over [0, s); iterations = relabeling
+    rounds performed (the initial Gamma(A) marking counts as round 1 when
+    A is nonempty); trace = erroneous-set size per subsequent round."""
 
     bits: Bitmap
     iterations: int
     trace: tuple
-    rounds: tuple | None = None
 
 
 def default_max_iters(m: int) -> int:
     return 2 * math.ceil(math.log2(max(m, 2))) + 2
 
 
-def greedy_label(g: SeededGraph, A, eps, max_iters: int | None = None,
-                 record_rounds: bool = False) -> Labeling:
-    """Run the alternating relabeling for A; raises NonConvergence at the cap."""
+def greedy_label(g: SeededGraph, A, eps) -> Labeling:
+    """Run the alternating relabeling for A; raises NonConvergence after
+    default_max_iters(m) rounds.  Each round counts its side's slots
+    through slot_overlap_counts and rewrites only Gamma(erroneous), in
+    chunks of SCAN_CHUNK_POINTS points."""
     p = g.params
-    eps = Fraction(eps)
     threshold = overlap_threshold(p.d, eps)
-    if max_iters is None:
-        max_iters = default_max_iters(p.m)
-    A = check_set(A, p)
-
-    targets = edge_targets(g)
-    member = np.zeros(p.m, dtype=bool)
-    member[A] = True
+    members = np.asarray(check_set(A, p), dtype=np.int64)
+    outside = np.setdiff1d(np.arange(p.m, dtype=np.int64), members)
+    step = max(1, SCAN_CHUNK_POINTS // p.d)
     labels = np.zeros(p.s, dtype=bool)
-    labels[targets[A].ravel()] = True
+    labels[edge_targets(g, members).ravel()] = True
 
-    iterations = 1 if A else 0
+    iterations = 1 if members.size else 0
     trace = []
-    rounds = [] if record_rounds else None
     outside_turn = True
     while True:
-        ones = labels[targets].sum(axis=1)
-        if outside_turn:
-            erroneous = np.flatnonzero(~member & (ones >= threshold))
-        else:
-            erroneous = np.flatnonzero(member & (p.d - ones >= threshold))
+        rows = outside if outside_turn else members
+        ones = slot_overlap_counts(g, labels, rows)
+        erroneous = rows[(ones if outside_turn else p.d - ones) >= threshold]
         if not erroneous.size:
             break
-        if iterations >= max_iters:
+        if iterations >= default_max_iters(p.m):
             raise NonConvergence(iterations, tuple(trace), int(erroneous.size))
-        touched = np.unique(targets[erroneous].ravel())
-        if record_rounds:
-            changed = touched[labels[touched] == outside_turn]
-            rounds.append((iterations + 1,
-                           "clear" if outside_turn else "set",
-                           tuple(int(v) for v in erroneous),
-                           tuple(int(w) for w in changed)))
-        labels[touched] = not outside_turn
+        for lo in range(0, erroneous.size, step):
+            labels[edge_targets(g, erroneous[lo:lo + step]).ravel()] = not outside_turn
         iterations += 1
         trace.append(int(erroneous.size))
         outside_turn = not outside_turn
 
-    return Labeling(Bitmap.from_bool_array(labels), iterations, tuple(trace),
-                    tuple(rounds) if record_rounds else None)
+    return Labeling(Bitmap.from_bool_array(labels), iterations, tuple(trace))
 
 
 class BmrvScheme(Scheme):
@@ -113,12 +98,11 @@ class BmrvScheme(Scheme):
 def encode_with_params(A, params: GraphParams, *, indep_k: int,
                        master_seed: int = 0,
                        max_retries: int = DEFAULT_MAX_RETRIES,
-                       field: FieldSpec = GF2_64,
-                       max_iters: int | None = None) -> BmrvScheme:
+                       field: FieldSpec = GF2_64) -> BmrvScheme:
     """Draw seeds until the greedy relabeling converges for A."""
     def converged(g):
         try:
-            return greedy_label(g, A, params.eps, max_iters)
+            return greedy_label(g, A, params.eps)
         except NonConvergence:
             return None
 
@@ -128,7 +112,7 @@ def encode_with_params(A, params: GraphParams, *, indep_k: int,
 
 
 def encode(A, universe_bits: int, eps, **options) -> BmrvScheme:
-    """Build the scheme for A; options as in `scheme.encode`, plus max_iters."""
+    """Build the scheme for A; the options are those of `scheme.encode`."""
     return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
 
 

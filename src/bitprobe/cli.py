@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="encode a set file into a scheme file")
     p_build.add_argument("set_file", help="text file, one decimal element per line")
     p_build.add_argument("-o", "--output", required=True, help="scheme file to write")
-    p_build.add_argument("--kind", choices=("one", "two", "bmrv"), default="one",
+    p_build.add_argument("--kind", choices=tuple(_ENCODERS), default="one",
                          help="scheme kind (default: one)")
     p_build.add_argument("--universe-bits", type=int, required=True,
                          help="u with m = 2^u")
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated set sizes (default: 4)")
     p_bench.add_argument("--eps-list", type=_parse_eps_list, default=[],
                          help="comma-separated rationals, e.g. 1/2,1/4")
-    p_bench.add_argument("--kind", choices=("one", "two", "bmrv"), default="one")
+    p_bench.add_argument("--kind", choices=tuple(_ENCODERS), default="one")
     p_bench.add_argument("--trials", type=_parse_count(1), default=3,
                          help="builds per cell (default: 3)")
     p_bench.add_argument("--indep-k", type=int, default=None)

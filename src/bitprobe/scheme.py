@@ -127,21 +127,18 @@ def resolve_probes(probe_src, stages: int, d: int):
     return probe_src
 
 
-def query(sch: Scheme, x: int, probe_src, short_circuit: bool = True) -> bool:
+def query(sch: Scheme, x: int, probe_src) -> bool:
     """AND of one bit from each stage's bitmap.  The reads stop at the
-    first 0 unless short_circuit is off; the probe indices are drawn up
-    front either way (the probes are non-adaptive)."""
+    first 0; the probe indices are all drawn up front (the probes are
+    non-adaptive)."""
     stages = sch.stages
     p = stages[0].graph.params
     if not 0 <= x < p.m:
         raise ValueError(f"element {x} out of range [0, {p.m})")
-    answer = True
     for st, i in zip(stages, resolve_probes(probe_src, len(stages), p.d)):
         if not st.bitmap.get(neighbor(st.graph, x, i)):
-            if short_circuit:
-                return False
-            answer = False
-    return answer
+            return False
+    return True
 
 
 def exact_error(sch: Scheme, x: int) -> Fraction:

@@ -64,8 +64,8 @@ def encode(A, universe_bits: int, eps, **options) -> TwoProbeScheme:
     return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
 
 
-def query(sch: TwoProbeScheme, x: int, probe_src, short_circuit: bool = True) -> bool:
+def query(sch: TwoProbeScheme, x: int, probe_src) -> bool:
     """AND of one bit from each stage; at most two reads, one if the first
-    bit is 0 and short-circuiting is on.  Both probe indices are drawn up
-    front either way (the pair is non-adaptive)."""
-    return scheme.query(sch, x, probe_src, short_circuit)
+    bit is 0.  Both probe indices are drawn up front (the pair is
+    non-adaptive)."""
+    return scheme.query(sch, x, probe_src)

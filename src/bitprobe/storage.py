@@ -143,6 +143,9 @@ def save(scheme: Scheme) -> bytes:
     for suffix, seed, st in zip(_suffixes(len(seeds)), seeds, scheme.stages):
         section["seed" + suffix] = struct.pack("<I", _u32(seed.indep_k, "indep_k")) + b"".join(
             [c.to_bytes(nb, "little") for c in seed.coeffs])
+        if st.bitmap.nbits != params.s:
+            raise InvariantViolation(
+                f"bitmap{suffix} of {st.bitmap.nbits} bits, expected s = {params.s}")
         section["bitmap" + suffix] = struct.pack("<Q", st.bitmap.nbits) + st.bitmap.to_bytes()
     return b"".join([section[name] for name, _, _ in section_layout(head)])
 

@@ -231,7 +231,7 @@ def test_criterion_6_bmrv_convergence(capsys):
         cap = default_max_iters(g.params.m)
         A = sorted(rng.sample(range(g.params.m), TINY_K_MAX // 2))
         try:
-            lab = greedy_label(g, A, TINY_EPS, max_iters=cap)
+            lab = greedy_label(g, A, TINY_EPS)
         except bmrv.NonConvergence as exc:
             problems.append(f"graph {gi}: {exc}")
             continue

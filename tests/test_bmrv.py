@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bitprobe import bmrv
+from bitprobe import bmrv, reduction
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import (
     NonConvergence,
@@ -12,6 +12,7 @@ from bitprobe.bmrv import (
     greedy_label,
 )
 from bitprobe.oracle import error_profile
+from bitprobe.reduction import SCAN_CHUNK_POINTS
 from helpers import (
     TINY_EPS,
     explicit_graph,
@@ -96,6 +97,8 @@ def test_engineered_instance_has_nonzero_member_error():
     lab = greedy_label(g, [0], Fraction(1, 4))
     assert lab.iterations == 2
     assert lab.trace == (1,)
+    # round 2 cleared Gamma(v1), of which only bit 6 had been set by Gamma(A)
+    assert {w for w in range(16) if lab.bits.get(w)} == {0, 1, 2, 3, 4, 5, 7}
     prof = error_profile(scheme_of((g, lab.bits)), [0])
     assert prof.holds
     assert prof.max_member_error == Fraction(1, 8)
@@ -108,24 +111,6 @@ def test_star_graph_oscillates_to_nonconvergence():
         greedy_label(g, [0], Fraction(1, 2))
     assert exc.value.iterations == default_max_iters(5)
     assert exc.value.pending > 0
-
-
-def test_round_instrumentation_alternates_sides():
-    rows = [
-        [0, 1, 2, 3, 4, 5, 6, 7],
-        [6, 6, 8, 9, 10, 11, 12, 13],
-        [14, 15, 14, 15, 14, 15, 14, 15],
-    ]
-    g = explicit_graph(rows, s=16, eps=Fraction(1, 4))
-    lab = greedy_label(g, [0], Fraction(1, 4), record_rounds=True)
-    assert lab.rounds is not None
-    for round_no, action, erroneous, changed in lab.rounds:
-        gamma_err = {w for v in erroneous for w in rows[v]}
-        assert set(changed) <= gamma_err
-        # even rounds clear (outside side), odd rounds set (member side)
-        assert action == ("clear" if round_no % 2 == 0 else "set")
-    assert lab.rounds[0][1] == "clear"
-    assert lab.rounds[0][3] == (6,)  # only bit 6 was actually set before
 
 
 def test_agrees_with_reference_implementation_on_random_toys():
@@ -191,4 +176,23 @@ def test_encode_query_roundtrip_on_seeded_graph():
     for x in A:
         hits = sum(bmrv.query(sch, x, i) for i in range(sch.params.d))
         assert hits >= sch.params.d - sch.params.d * Fraction(1, 2)
+    assert error_profile(sch, A).holds
+
+
+def test_encode_scans_in_chunks_past_scan_chunk_points(monkeypatch):
+    # u=13, eps=1/2: m*d = 8192*52 = 425,984 edge indices, more than
+    # SCAN_CHUNK_POINTS, so a whole-table scan would show as one wide call
+    A = [5, 700, 1999, 4096, 8191]
+    calls = []  # (module, rows) per edge_targets call
+    for module in (bmrv, reduction):
+        def spy(g, vs=None, real=module.edge_targets, caller=module):
+            calls.append((caller, g.params.m if vs is None else len(vs)))
+            return real(g, vs)
+        monkeypatch.setattr(module, "edge_targets", spy)
+    sch = bmrv.encode(A, 13, Fraction(1, 2), indep_k=6, master_seed=3)
+    p = sch.params
+    assert p.m * p.d > SCAN_CHUNK_POINTS
+    assert max(rows for _, rows in calls) <= max(len(A), SCAN_CHUNK_POINTS // p.d)
+    assert {caller for caller, _ in calls} == {bmrv, reduction}
+    monkeypatch.undo()
     assert error_profile(sch, A).holds

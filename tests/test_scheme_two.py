@@ -105,22 +105,34 @@ def test_exact_error_factorizes_and_stays_below_eps():
 
 def test_query_reads_at_most_two_bits():
     sch = w_scheme()
+    d = sch.params.d
     c1 = CountingBitmap.wrap(sch.stages[0].bitmap)
     c2 = CountingBitmap.wrap(sch.stages[1].bitmap)
     instrumented = with_bitmaps(sch, c1, c2)
-    rng = random.Random(3)
-    for _ in range(300):
-        before = c1.reads + c2.reads
-        query(instrumented, rng.randrange(sch.params.m), rng)
-        assert c1.reads + c2.reads - before <= 2
-    # non-short-circuit mode always reads exactly two
-    before = c1.reads + c2.reads
-    for _ in range(50):
-        query(instrumented, rng.randrange(sch.params.m), rng, short_circuit=False)
-    assert c1.reads + c2.reads - before == 100
-    # a guaranteed first-stage zero stops after one read
+    draws = []
+
+    class LoggedRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(c1.reads + c2.reads)
+            return super().randrange(*args)
+
+    # every query takes one randrange(d) per stage, before its first read,
+    # however many bits it then reads
+    rng, twin, xs = LoggedRandom(3), random.Random(3), random.Random(4)
     zero = next(x for x in range(sch.params.m)
                 if probe_overlap(sch.g1, x, sch.stages[0].bitmap) == 0)
+    reads_seen = set()
+    for x in [zero] + [xs.randrange(sch.params.m) for _ in range(300)]:
+        before = c1.reads + c2.reads
+        draws.clear()
+        query(instrumented, x, rng)
+        twin.randrange(d)
+        twin.randrange(d)
+        assert draws == [before, before]
+        assert rng.getstate() == twin.getstate()
+        reads_seen.add(c1.reads + c2.reads - before)
+    assert reads_seen == {1, 2}
+    # a guaranteed first-stage zero stops after one read
     before = c1.reads + c2.reads
     assert not query(instrumented, zero, (0, 0))
     assert c1.reads + c2.reads - before == 1

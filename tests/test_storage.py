@@ -137,6 +137,18 @@ def test_bitmap_length_must_match_header():
         load(bytes(blob))
 
 
+@pytest.mark.parametrize("make", [one_probe, two_probe, bmrv_scheme])
+@pytest.mark.parametrize("nbits", ["2s", "s-1"])
+def test_save_rejects_a_bitmap_other_than_s_bits(make, nbits):
+    # load would reject the file: 2s bits leave trailing bytes, and s-1
+    # bits fill as many bytes as s but record the wrong nbits
+    sch = make()
+    bits = {"2s": 2 * sch.params.s, "s-1": sch.params.s - 1}[nbits]
+    stages = tuple(replace(st, bitmap=Bitmap(bits)) for st in sch.stages)
+    with pytest.raises(InvariantViolation, match="bitmap"):
+        save(replace(sch, stages=stages))
+
+
 def test_seed_count_must_match_header():
     blob = bytearray(save(one_probe()))
     layout = dict((name, (off, ln)) for name, off, ln in section_layout(bytes(blob)))
