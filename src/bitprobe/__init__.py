@@ -11,7 +11,6 @@ from .gf import (
     PolySeed,
     default_indep_k,
     draw_seed,
-    field_for_width,
     field_mul,
     poly_eval,
     poly_eval_block,

@@ -10,17 +10,15 @@ membership, matching the reduction checkers' tie rule.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scheme
 from .bits import Bitmap
-from .gf import GF2_64, FieldSpec
-from .graph import GraphParams, SeededGraph, edge_targets
+from .graph import SeededGraph, edge_targets
 from .reduction import SCAN_CHUNK_POINTS, overlap_threshold, slot_overlap_counts
-from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
+from .scheme import Scheme, Stage, check_set
 
 
 class NonConvergence(Exception):
@@ -94,26 +92,22 @@ class BmrvScheme(Scheme):
     def graph(self) -> SeededGraph:
         return self.stages[0].graph
 
+    @staticmethod
+    def build_stages(A, eps, search):
+        """The first seed whose relabeling converges; its labels are the bitmap."""
+        def converged(g):
+            try:
+                return greedy_label(g, A, eps)
+            except NonConvergence:
+                return None
 
-def encode_with_params(A, params: GraphParams, *, indep_k: int,
-                       master_seed: int = 0,
-                       max_retries: int = DEFAULT_MAX_RETRIES,
-                       field: FieldSpec = GF2_64) -> BmrvScheme:
-    """Draw seeds until the greedy relabeling converges for A."""
-    def converged(g):
-        try:
-            return greedy_label(g, A, params.eps)
-        except NonConvergence:
-            return None
-
-    g, lab, retries = search(random.Random(master_seed), params, indep_k, field,
-                             max_retries, converged, "no seed produced a converged labeling")
-    return BmrvScheme((Stage(g, lab.bits, retries),), master_seed)
+        g, lab, retries = search(converged, "no seed produced a converged labeling")
+        return (Stage(g, lab.bits, retries),), 0
 
 
 def encode(A, universe_bits: int, eps, **options) -> BmrvScheme:
     """Build the scheme for A; the options are those of `scheme.encode`."""
-    return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
+    return scheme.encode(BmrvScheme, A, universe_bits, eps, **options)
 
 
 def query(sch: BmrvScheme, x: int, probe_src) -> bool:

@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import bmrv, scheme_one, scheme_two, storage
-from .gf import FIELDS_BY_WIDTH, field_for_width
-from .graph import neighbor
+from .gf import FIELD_WIDTHS, FieldSpec
+from .graph import derive_params, neighbor
 from .oracle import BudgetExceeded, error_profile
-from .scheme import RetriesExhausted, exact_error, query, resolve_probes
+from .scheme import DEFAULT_MAX_RETRIES, RetriesExhausted, exact_error, query, resolve_probes
 
 EXIT_OK = 0
 EXIT_GUARANTEE_VIOLATED = 1
@@ -45,21 +45,25 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def _parse_count(least: int):
-    """An argparse type for decimal integers >= least."""
+def _parse_count(least: int, most: float = float("inf")):
+    """An argparse type for decimal integers in [least, most]."""
     def parse(text: str) -> int:
-        if not text.strip().isdigit() or int(text) < least:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        if not text.strip().isdigit() or not least <= int(text) <= most:
+            bound = f">= {least}" if most == float("inf") else f"in [{least}, {most}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return int(text)
     return parse
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
+# u is at most the widest field's width: edge indices are field elements.
+_parse_universe_bits = _parse_count(1, max(FIELD_WIDTHS))
 
 
-def _parse_eps_list(text: str) -> list:
-    return [_parse_eps(part) for part in text.split(",") if part.strip()]
+def _parse_list(item):
+    """An argparse type for comma-separated values, each parsed by item."""
+    def parse_list(text: str) -> list:
+        return [item(part) for part in text.split(",") if part.strip()]
+    return parse_list
 
 
 def _read_set_file(path: str, universe: int) -> list:
@@ -106,11 +110,9 @@ def cmd_build(args) -> int:
         if not 0 <= args.master_seed < 1 << 64:
             raise ValueError(f"--master-seed {args.master_seed} outside [0, 2^64)")
         A = _read_set_file(args.set_file, 1 << args.universe_bits)
-        if args.n_cap is not None and len(A) > args.n_cap:
-            raise ValueError(f"{len(A)} elements exceed --n-cap {args.n_cap}")
         kwargs = dict(n_cap=args.n_cap, indep_k=args.indep_k,
                       master_seed=args.master_seed, max_retries=args.max_retries,
-                      field=field_for_width(args.field_width))
+                      field=FieldSpec(args.field_width))
         t0 = time.perf_counter()
         scheme = _ENCODERS[args.kind](A, args.universe_bits, args.eps, **kwargs)
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -196,7 +198,8 @@ BENCH_COLUMNS = ["u", "n", "eps", "kind", "bitmap_bits", "cache_bits",
 
 def _bench_cell(u, n, eps, kind, args, budget):
     rng = random.Random(args.master_seed ^ (u << 20) ^ (n << 8))
-    field = field_for_width(args.field_width)
+    field = FieldSpec(args.field_width)
+    derive_params(u, max(n, 1), eps, field)  # fail a cell too big to sample from
     encode = _ENCODERS[kind]
     encode_ms = []
     seeds_tried = 0
@@ -258,20 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("-o", "--output", required=True, help="scheme file to write")
     p_build.add_argument("--kind", choices=tuple(_ENCODERS), default="one",
                          help="scheme kind (default: one)")
-    p_build.add_argument("--universe-bits", type=int, required=True,
-                         help="u with m = 2^u")
+    p_build.add_argument("--universe-bits", type=_parse_universe_bits, required=True,
+                         help="u with m = 2^u, in [1, 64]")
     p_build.add_argument("--eps", type=_parse_eps, required=True,
                          help="error bound as a rational, e.g. 1/4")
     p_build.add_argument("--n-cap", type=int, default=None,
                          help="set capacity (default: the set's size)")
     p_build.add_argument("--master-seed", type=int, default=0,
                          help="seed for the candidate stream, in [0, 2^64) (default: 0)")
-    p_build.add_argument("--max-retries", type=_parse_count(1), default=64,
-                         help="candidate seeds per stage (default: 64)")
+    p_build.add_argument("--max-retries", type=_parse_count(1), default=DEFAULT_MAX_RETRIES,
+                         help=f"candidate seeds per stage (default: {DEFAULT_MAX_RETRIES})")
     p_build.add_argument("--indep-k", type=int, default=None,
                          help="hash independence order (default: u^2)")
-    p_build.add_argument("--field-width", type=int, default=64,
-                         choices=sorted(FIELDS_BY_WIDTH),
+    p_build.add_argument("--field-width", type=int, default=64, choices=FIELD_WIDTHS,
                          help="field width in bits (default: 64)")
     p_build.set_defaults(func=cmd_build)
 
@@ -295,18 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="space/error/time table over a grid")
-    p_bench.add_argument("--u-list", type=_parse_int_list, default=[],
-                         help="comma-separated universe_bits values")
-    p_bench.add_argument("--n-list", type=_parse_int_list, default=[4],
+    p_bench.add_argument("--u-list", type=_parse_list(_parse_universe_bits), default=[],
+                         help="comma-separated universe_bits values, each in [1, 64]")
+    p_bench.add_argument("--n-list", type=_parse_list(int), default=[4],
                          help="comma-separated set sizes (default: 4)")
-    p_bench.add_argument("--eps-list", type=_parse_eps_list, default=[],
+    p_bench.add_argument("--eps-list", type=_parse_list(_parse_eps), default=[],
                          help="comma-separated rationals, e.g. 1/2,1/4")
     p_bench.add_argument("--kind", choices=tuple(_ENCODERS), default="one")
     p_bench.add_argument("--trials", type=_parse_count(1), default=3,
                          help="builds per cell (default: 3)")
     p_bench.add_argument("--indep-k", type=int, default=None)
-    p_bench.add_argument("--field-width", type=int, default=64,
-                         choices=sorted(FIELDS_BY_WIDTH))
+    p_bench.add_argument("--field-width", type=int, default=64, choices=FIELD_WIDTHS)
     p_bench.add_argument("--master-seed", type=int, default=0)
     p_bench.add_argument("-o", "--output", default=None,
                          help="CSV path (default: stdout)")

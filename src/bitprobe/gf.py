@@ -27,49 +27,37 @@ from functools import reduce
 import numpy as np
 
 _REDUCTION_POLYS = {3: 0x03, 8: 0x1B, 16: 0x2B, 32: 0x8D, 64: 0x1B}
+FIELD_WIDTHS = tuple(_REDUCTION_POLYS)
 # x^w is the XOR of x^f over these f: the shifts that fold a bit above w down.
 _FOLD_SHIFTS = {w: tuple(f for f in range(w) if r >> f & 1) for w, r in _REDUCTION_POLYS.items()}
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A supported GF(2^b): element width plus the reduction polynomial mask."""
+    """A supported GF(2^b), given by its width; the width fixes the
+    reduction polynomial mask."""
 
     width_bits: int
-    reduction_poly: int
 
     def __post_init__(self):
-        expected = _REDUCTION_POLYS.get(self.width_bits)
-        if expected is None:
+        if self.width_bits not in _REDUCTION_POLYS:
             raise ValueError(
-                f"unsupported field width {self.width_bits}; "
-                f"supported: {sorted(_REDUCTION_POLYS)}"
-            )
-        if self.reduction_poly != expected:
-            raise ValueError(
-                f"width {self.width_bits} uses the fixed reduction polynomial "
-                f"{expected:#x}, got {self.reduction_poly:#x}"
-            )
+                f"unsupported field width {self.width_bits}; supported: {list(FIELD_WIDTHS)}")
+
+    @property
+    def reduction_poly(self) -> int:
+        return _REDUCTION_POLYS[self.width_bits]
 
     @property
     def order(self) -> int:
         return 1 << self.width_bits
 
 
-GF2_3 = FieldSpec(3, 0x03)
-GF2_8 = FieldSpec(8, 0x1B)
-GF2_16 = FieldSpec(16, 0x2B)
-GF2_32 = FieldSpec(32, 0x8D)
-GF2_64 = FieldSpec(64, 0x1B)
-
-FIELDS_BY_WIDTH = {f.width_bits: f for f in (GF2_3, GF2_8, GF2_16, GF2_32, GF2_64)}
-
-
-def field_for_width(width_bits: int) -> FieldSpec:
-    try:
-        return FIELDS_BY_WIDTH[width_bits]
-    except KeyError:
-        raise ValueError(f"unsupported field width {width_bits}") from None
+GF2_3 = FieldSpec(3)
+GF2_8 = FieldSpec(8)
+GF2_16 = FieldSpec(16)
+GF2_32 = FieldSpec(32)
+GF2_64 = FieldSpec(64)
 
 
 def _check_element(v: int, field: FieldSpec, name: str) -> None:

@@ -2,11 +2,12 @@
 
 A stage pairs a pseudo-random graph, given by its polynomial seed (the
 cached word), with a bitmap over the graph's right side (the main storage).
-`one` and `bmrv` have one stage, `two` has two.  The kind modules keep only
-the rule that accepts a candidate seed; the encode preamble, the retry
-loop, the query and the exact positive rate live here.
+`one` and `bmrv` have one stage, `two` has two.  A kind class gives only
+`build_stages`, its seed-acceptance rule and stage bitmap; the set check,
+the seed stream, the retry loop, the query and the exact rate live here.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +40,8 @@ class Stage:
 @dataclass(frozen=True)
 class Scheme:
     """Stages over graphs of one shape; w_size is |W|, the set that stages
-    after the first were checked on.  Subclasses set KIND (the code in
-    scheme files), STAGES, and TWO_SIDED (whether members may err too)."""
+    after the first were checked on.  Subclasses set KIND (the file code),
+    STAGES, TWO_SIDED (whether members may err) and build_stages."""
 
     stages: tuple
     master_seed: int = 0
@@ -81,31 +82,38 @@ def check_set(A, params: GraphParams) -> list:
     return A
 
 
-def encode(encode_with_params, A, universe_bits: int, eps, *, n_cap: int | None = None,
+def encode(cls, A, universe_bits: int, eps, *, n_cap: int | None = None,
            indep_k: int | None = None, field: FieldSpec = GF2_64, **options):
-    """Size the graph for A (n_cap defaults to |A|, indep_k to u^2), then
-    build with a kind's ``encode_with_params``, which takes the other
-    options (master_seed, max_retries, ...); deterministic."""
+    """Size the graph for A (n_cap defaults to |A|, indep_k to u^2) and build
+    a cls scheme by `encode_with_params` with the other options."""
     A = sorted(set(A))
     if n_cap is None:
         n_cap = max(len(A), 1)
     params = derive_params(universe_bits, n_cap, Fraction(eps), field)
     if indep_k is None:
         indep_k = default_indep_k(universe_bits)
-    return encode_with_params(A, params, indep_k=indep_k, field=field, **options)
+    return encode_with_params(cls, A, params, indep_k=indep_k, field=field, **options)
 
 
-def search(rng, params: GraphParams, indep_k: int, field: FieldSpec, max_retries: int,
-           accept, detail: str):
-    """Draw candidate seeds from rng until ``accept(graph)`` returns
-    something other than None; returns the graph, that result and the
-    number of candidates drawn."""
-    for attempt in range(1, max_retries + 1):
-        g = SeededGraph(params, draw_seed(rng, indep_k, field))
-        result = accept(g)
-        if result is not None:
-            return g, result, attempt
-    raise RetriesExhausted(max_retries, detail)
+def encode_with_params(cls, A, params: GraphParams, *, indep_k: int, master_seed: int = 0,
+                       max_retries: int = DEFAULT_MAX_RETRIES, field: FieldSpec = GF2_64):
+    """Check A, then get the stages and w_size from ``cls.build_stages(A,
+    eps, search)``.  ``search(accept, detail)`` draws seeds from master_seed's
+    stream until ``accept(graph)`` is not None and returns (graph, that
+    result, seeds drawn), or raises RetriesExhausted(detail)."""
+    A = check_set(A, params)
+    rng = random.Random(master_seed)
+
+    def search(accept, detail: str):
+        for attempt in range(1, max_retries + 1):
+            g = SeededGraph(params, draw_seed(rng, indep_k, field))
+            result = accept(g)
+            if result is not None:
+                return g, result, attempt
+        raise RetriesExhausted(max_retries, detail)
+
+    stages, w_size = cls.build_stages(A, params.eps, search)
+    return cls(stages, master_seed, w_size)
 
 
 def resolve_probes(probe_src, stages: int, d: int):

@@ -13,13 +13,10 @@ than in (n, log m); the interface is the misclassified-set contract, so a
 decodable graph could be dropped in.
 """
 
-import random
-
 from . import scheme
-from .gf import GF2_64, FieldSpec
-from .graph import GraphParams, SeededGraph, neighborhood_bitmap
+from .graph import SeededGraph, neighborhood_bitmap
 from .reduction import check_strong_reduction
-from .scheme import DEFAULT_MAX_RETRIES, Scheme, Stage, check_set, search
+from .scheme import Scheme, Stage
 
 
 class TwoProbeScheme(Scheme):
@@ -36,32 +33,24 @@ class TwoProbeScheme(Scheme):
     def g2(self) -> SeededGraph:
         return self.stages[1].graph
 
+    @staticmethod
+    def build_stages(A, eps, search):
+        """Stage 1: a seed with |W| <= |A|/2; stage 2: strong reduction on W."""
+        def few_misclassified(g):
+            w = check_strong_reduction(g, A, eps).violating
+            return w if len(w) <= len(A) // 2 else None
 
-def encode_with_params(A, params: GraphParams, *, indep_k: int,
-                       master_seed: int = 0,
-                       max_retries: int = DEFAULT_MAX_RETRIES,
-                       field: FieldSpec = GF2_64) -> TwoProbeScheme:
-    A = check_set(A, params)
-    rng = random.Random(master_seed)
-
-    def few_misclassified(g):
-        w = check_strong_reduction(g, A, params.eps).violating
-        return w if len(w) <= len(A) // 2 else None
-
-    g1, w, retries1 = search(rng, params, indep_k, field, max_retries, few_misclassified,
-                             "stage 1: |W| bound failed for every seed")
-    g2, _, retries2 = search(
-        rng, params, indep_k, field, max_retries,
-        lambda g: check_strong_reduction(g, A, params.eps, scope=w).holds or None,
-        "stage 2: restricted reduction failed for every seed")
-    return TwoProbeScheme((Stage(g1, neighborhood_bitmap(g1, A), retries1),
-                           Stage(g2, neighborhood_bitmap(g2, A), retries2)),
-                          master_seed, len(w))
+        g1, w, retries1 = search(few_misclassified, "stage 1: |W| bound failed for every seed")
+        g2, _, retries2 = search(
+            lambda g: check_strong_reduction(g, A, eps, scope=w).holds or None,
+            "stage 2: restricted reduction failed for every seed")
+        return (Stage(g1, neighborhood_bitmap(g1, A), retries1),
+                Stage(g2, neighborhood_bitmap(g2, A), retries2)), len(w)
 
 
 def encode(A, universe_bits: int, eps, **options) -> TwoProbeScheme:
     """Build the scheme for A; the options are those of `scheme.encode`."""
-    return scheme.encode(encode_with_params, A, universe_bits, eps, **options)
+    return scheme.encode(TwoProbeScheme, A, universe_bits, eps, **options)
 
 
 def query(sch: TwoProbeScheme, x: int, probe_src) -> bool:

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .bits import Bitmap
 from .bmrv import BmrvScheme
-from .gf import FIELDS_BY_WIDTH, PolySeed
+from .gf import FIELD_WIDTHS, FieldSpec, PolySeed
 from .graph import GraphParams, SeededGraph, derive_params
 from .scheme import Scheme, Stage
 from .scheme_one import OneProbeScheme
@@ -88,7 +88,7 @@ def _sized(universe_bits: int, n_cap: int, eps: Fraction, field_width: int,
            d: int, log2_s: int) -> GraphParams:
     """The graph shape of a file, which must be the derived sizing."""
     try:
-        params = derive_params(universe_bits, n_cap, eps, FIELDS_BY_WIDTH[field_width])
+        params = derive_params(universe_bits, n_cap, eps, FieldSpec(field_width))
     except ValueError as exc:
         raise InvariantViolation(str(exc))
     if (d, log2_s) != (params.d, params.log2_s):
@@ -168,7 +168,7 @@ def _parse_header(data: bytes) -> dict:
         raise InvariantViolation(f"unknown kind {kind}")
     if not 0 < eps_num < eps_den or math.gcd(eps_num, eps_den) != 1:
         raise InvariantViolation(f"eps = {eps_num}/{eps_den} is not a reduced fraction in (0, 1)")
-    if field_width not in FIELDS_BY_WIDTH:
+    if field_width not in FIELD_WIDTHS:
         raise InvariantViolation(f"unsupported field width {field_width}")
     if universe_bits < 1 or d < 1 or indep_k < 1:
         raise InvariantViolation("universe_bits, d and indep_k must be >= 1")
@@ -217,7 +217,7 @@ def load(data: bytes) -> Scheme:
     w_size = retries.pop() if cls.STAGES > 1 else 0
     params = _sized(h["universe_bits"], n_cap, h["eps"], h["field_width"],
                     h["d"], h["log2_s"])
-    field = FIELDS_BY_WIDTH[h["field_width"]]
+    field = FieldSpec(h["field_width"])
     nb = _elem_bytes(field.width_bits)
     stages = []
     for suffix, n in zip(_suffixes(cls.STAGES), retries):

@@ -329,6 +329,7 @@ def test_bench_status_checks_the_guarantee(tmp_path, capsys, monkeypatch, bad_tr
 UNRUNNABLE_ENCODES = [
     (6, ["--indep-k", str(1 << 32)], "ValueError"),
     (56, [], "MemoryError"),
+    (63, [], "ValueError"),
 ]
 
 
@@ -356,6 +357,28 @@ def test_bench_rejects_zero_trials(capsys):
         main(["bench", "--u-list", "4", "--eps-list", "1/2", "--trials", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "SET", "-o", "OUT", "--universe-bits", "65", "--eps", "1/2"],
+    ["bench", "--u-list", "4,65", "--eps-list", "1/2"],
+])
+def test_universe_bits_above_the_widest_field_fail_at_parse_time(tmp_path, capsys, argv):
+    paths = {"SET": write_set(tmp_path, [1]), "OUT": str(tmp_path / "x.bps")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    assert "expected an integer in [1, 64], got '65'" in capsys.readouterr().err
+    assert not (tmp_path / "x.bps").exists()
+
+
+def test_build_over_n_cap_fails_with_the_set_check(tmp_path, capsys):
+    out = tmp_path / "x.bps"
+    rc = main(["build", write_set(tmp_path, [1, 2, 3]), "-o", str(out),
+               "--universe-bits", "4", "--eps", "1/2", "--n-cap", "2"])
+    assert rc == 2
+    assert "build failed: |A| = 3 exceeds n_cap = 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_two_probe_cell(tmp_path, capsys):

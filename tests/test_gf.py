@@ -15,7 +15,6 @@ from bitprobe.gf import (
     PolySeed,
     default_indep_k,
     draw_seed,
-    field_for_width,
     field_mul,
     poly_eval,
     poly_eval_block,
@@ -31,14 +30,16 @@ WIDE_FIELDS = [GF2_8, GF2_16, GF2_32, GF2_64]
 
 def test_unsupported_width_rejected():
     with pytest.raises(ValueError):
-        FieldSpec(5, 0x5)
+        FieldSpec(5)
     with pytest.raises(ValueError):
-        field_for_width(7)
+        FieldSpec(7)
 
 
 def test_reduction_poly_is_pinned_per_width():
-    with pytest.raises(ValueError):
-        FieldSpec(8, 0x1D)  # wrong mask for width 8
+    # the masks of the table in the gf module docstring
+    masks = {GF2_3: 0x03, GF2_8: 0x1B, GF2_16: 0x2B, GF2_32: 0x8D, GF2_64: 0x1B}
+    assert {f: f.reduction_poly for f in ALL_FIELDS} == masks
+    assert FieldSpec(8) == GF2_8  # a width names one field
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bitprobe import scheme_one
+from bitprobe import bmrv, scheme, scheme_one, scheme_two
 from bitprobe.graph import GraphParams
 from bitprobe.scheme import RetriesExhausted, exact_error
-from bitprobe.scheme_one import encode, query
+from bitprobe.scheme_one import OneProbeScheme, encode, query
 
 from helpers import CountingBitmap, with_bitmaps
 
@@ -70,8 +70,8 @@ def test_retries_exhausted_on_impossible_params():
     # so any nonempty A makes every outside vertex violate, for any seed.
     params = GraphParams(m=4, n_cap=1, s=1, log2_s=0, d=2, eps=Fraction(1, 2))
     with pytest.raises(RetriesExhausted) as exc:
-        scheme_one.encode_with_params([0], params, indep_k=2, master_seed=0,
-                                      max_retries=7)
+        scheme.encode_with_params(OneProbeScheme, [0], params, indep_k=2, master_seed=0,
+                                  max_retries=7)
     assert exc.value.attempts == 7
 
 
@@ -97,12 +97,19 @@ def test_query_probe_source_forms():
         exact_error(sch, -1)
 
 
-def test_capacity_and_range_validation():
-    params = GraphParams(m=8, n_cap=1, s=64, log2_s=6, d=4, eps=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        scheme_one.encode_with_params([1, 2], params, indep_k=2)
-    with pytest.raises(ValueError):
-        scheme_one.encode_with_params([8], params, indep_k=2)
+@pytest.mark.parametrize("kind_encode", [scheme_one.encode, scheme_two.encode, bmrv.encode],
+                         ids=["one", "two", "bmrv"])
+def test_capacity_and_range_validation(monkeypatch, kind_encode):
+    # Every kind checks A before it draws its first candidate seed.
+    drawn = []
+    draw_seed = scheme.draw_seed
+    monkeypatch.setattr(scheme, "draw_seed", lambda *a: drawn.append(a) or draw_seed(*a))
+    for A, n_cap in [([1, 2], 1), ([8], None), ([-1], None)]:
+        with pytest.raises(ValueError):
+            kind_encode(A, 3, Fraction(1, 2), n_cap=n_cap, indep_k=2)
+    assert drawn == []
+    kind_encode([1, 2], 3, Fraction(1, 2), indep_k=2)
+    assert drawn  # the spy sees the draws of a set that fits
 
 
 def test_space_shape_of_encoded_scheme():

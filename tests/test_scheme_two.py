@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from bitprobe import scheme_two
+from bitprobe import scheme
 from bitprobe.graph import GraphParams, neighborhood_bitmap
 from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_overlap
 from bitprobe.scheme import RetriesExhausted, exact_error
-from bitprobe.scheme_two import encode, query
+from bitprobe.scheme_two import TwoProbeScheme, encode, query
 
 from helpers import CountingBitmap, explicit_graph, with_bitmaps
 
@@ -19,7 +19,7 @@ W_SET = [0, 5, 9, 13]
 
 
 def w_scheme():
-    return scheme_two.encode_with_params(W_SET, W_PARAMS, indep_k=3, master_seed=0)
+    return scheme.encode_with_params(TwoProbeScheme, W_SET, W_PARAMS, indep_k=3, master_seed=0)
 
 
 def test_misclassified_empty_when_strong_reduction_holds():
@@ -148,7 +148,7 @@ def test_stage1_retries_exhausted():
     # s = 1 forces W = L \ A, which exceeds |A|/2 here
     params = GraphParams(m=4, n_cap=1, s=1, log2_s=0, d=2, eps=Fraction(1, 2))
     with pytest.raises(RetriesExhausted, match="stage 1"):
-        scheme_two.encode_with_params([0], params, indep_k=2, max_retries=4)
+        scheme.encode_with_params(TwoProbeScheme, [0], params, indep_k=2, max_retries=4)
 
 
 def test_stage2_retries_exhausted():
@@ -156,4 +156,4 @@ def test_stage2_retries_exhausted():
     # keep vertex 2 out of Gamma(A) when there is only one right vertex.
     params = GraphParams(m=3, n_cap=2, s=1, log2_s=0, d=2, eps=Fraction(1, 2))
     with pytest.raises(RetriesExhausted, match="stage 2"):
-        scheme_two.encode_with_params([0, 1], params, indep_k=2, max_retries=4)
+        scheme.encode_with_params(TwoProbeScheme, [0, 1], params, indep_k=2, max_retries=4)
