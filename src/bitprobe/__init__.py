@@ -11,10 +11,8 @@ from .gf import (
     PolySeed,
     default_indep_k,
     draw_seed,
-    field_mul,
     poly_eval,
     poly_eval_block,
-    seed_from_index,
 )
 from .graph import (
     GraphParams,
@@ -43,7 +41,6 @@ from .oracle import (
     BudgetExceeded,
     ErrorProfile,
     error_profile,
-    kwise_uniformity_check,
 )
 from .storage import (
     BadMagic,

@@ -110,6 +110,6 @@ def encode(A, universe_bits: int, eps, **options) -> BmrvScheme:
     return scheme.encode(BmrvScheme, A, universe_bits, eps, **options)
 
 
-def query(sch: BmrvScheme, x: int, probe_src) -> bool:
-    """Read the label of one random (or chosen) neighbor of x."""
-    return scheme.query(sch, x, probe_src)
+def query(sch: BmrvScheme, x: int, rng) -> bool:
+    """Read the label of one random neighbor of x."""
+    return scheme.query(sch, x, rng)

@@ -23,7 +23,7 @@ from . import bmrv, scheme_one, scheme_two, storage
 from .gf import FIELD_WIDTHS, FieldSpec
 from .graph import derive_params, neighbor
 from .oracle import BudgetExceeded, error_profile
-from .scheme import DEFAULT_MAX_RETRIES, RetriesExhausted, exact_error, query, resolve_probes
+from .scheme import DEFAULT_MAX_RETRIES, RetriesExhausted, draw_probes, exact_error, query
 
 EXIT_OK = 0
 EXIT_GUARANTEE_VIOLATED = 1
@@ -45,10 +45,15 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether text is a nonempty run of the ASCII digits 0-9 alone."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_count(least: int, most: float = float("inf")):
     """An argparse type for decimal integers in [least, most]."""
     def parse(text: str) -> int:
-        if not text.strip().isdigit() or not least <= int(text) <= most:
+        if not _is_decimal(text.strip()) or not least <= int(text) <= most:
             bound = f">= {least}" if most == float("inf") else f"in [{least}, {most}]"
             raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return int(text)
@@ -73,12 +78,9 @@ def _read_set_file(path: str, universe: int) -> list:
             line = line.strip()
             if not line:
                 continue
-            try:
-                x = int(line)
-            except ValueError:
+            if not _is_decimal(line):
                 raise ValueError(f"{path}:{lineno}: not a decimal element: {line!r}")
-            if x < 0:
-                raise ValueError(f"{path}:{lineno}: negative element {x}")
+            x = int(line)
             if x >= universe:
                 raise ValueError(f"{path}:{lineno}: element {x} >= universe {universe}")
             elements.append(x)
@@ -93,7 +95,7 @@ def _env_budget():
     raw = os.environ.get(BUDGET_ENV_VAR)
     if not raw:
         return None
-    if not raw.strip().isdigit():
+    if not _is_decimal(raw.strip()):
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer >= 0, got {raw!r}")
     return int(raw)
 
@@ -117,11 +119,11 @@ def cmd_build(args) -> int:
         scheme = _ENCODERS[args.kind](A, args.universe_bits, args.eps, **kwargs)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         data = storage.save(scheme)
+        with open(args.output, "wb") as fh:
+            fh.write(data)
     except (ValueError, OSError, RetriesExhausted, MemoryError) as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
-    with open(args.output, "wb") as fh:
-        fh.write(data)
     fields = (f"bitmap_bits={scheme.bitmap_bits} cache_bits={scheme.cache_bits} "
               f"retries_used={scheme.retries}")
     if len(scheme.stages) > 1:
@@ -144,7 +146,7 @@ def cmd_query(args) -> int:
     rng = random.Random(args.master_seed)
     try:
         scheme = _load_scheme(args.scheme_file)
-        probes = resolve_probes(rng, len(scheme.stages), scheme.params.d)
+        probes = draw_probes(rng, len(scheme.stages), scheme.params.d)
         positions = [neighbor(st.graph, x, i) for st, i in zip(scheme.stages, probes)]
     except (ValueError, OSError, storage.SchemeFileError) as exc:
         print(f"query failed: {exc}", file=sys.stderr)
@@ -168,20 +170,19 @@ def cmd_verify(args) -> int:
         budget = _env_budget()
         scheme = _load_scheme(args.scheme_file)
         A = _read_set_file(args.set_file, scheme.params.m)
-    except (ValueError, OSError, storage.SchemeFileError) as exc:
-        print(f"verify failed: {exc}", file=sys.stderr)
-        return EXIT_ENCODE_FAILURE
-    try:
         profile = error_profile(scheme, A, budget)
+        errors, den = profile.per_element, profile.denominator
+        common = np.gcd(errors, den)  # each row in lowest terms, 0 as 0/1
+        with _csv_output(args.output) as writer:
+            writer.writerow(["element", "membership", "exact_error_num", "exact_error_den"])
+            writer.writerows(zip(range(len(errors)), profile.member.astype(int).tolist(),
+                                 (errors // common).tolist(), (den // common).tolist()))
     except BudgetExceeded as exc:
         print(f"verify aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
-    errors, den = profile.per_element, profile.denominator
-    common = np.gcd(errors, den)  # each row in lowest terms, 0 as 0/1
-    with _csv_output(args.output) as writer:
-        writer.writerow(["element", "membership", "exact_error_num", "exact_error_den"])
-        writer.writerows(zip(range(len(errors)), profile.member.astype(int).tolist(),
-                             (errors // common).tolist(), (den // common).tolist()))
+    except (ValueError, OSError, storage.SchemeFileError) as exc:
+        print(f"verify failed: {exc}", file=sys.stderr)
+        return EXIT_ENCODE_FAILURE
     ok = profile.holds
     print(f"false_negatives={profile.false_negative_count} "
           f"max_member_error={_format_rate(profile.max_member_error)} "
@@ -231,22 +232,22 @@ def _bench_cell(u, n, eps, kind, args, budget):
 
 
 def cmd_bench(args) -> int:
+    violated = False
     try:
         budget = _env_budget()
-    except ValueError as exc:
+        with _csv_output(args.output) as writer:
+            writer.writerow(BENCH_COLUMNS)
+            for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
+                try:
+                    row = _bench_cell(u, n, eps, args.kind, args, budget)
+                except (ValueError, RetriesExhausted, BudgetExceeded, MemoryError) as exc:
+                    row = [u, n, _format_rate(eps), args.kind] + [""] * 8
+                    row += [f"{type(exc).__name__}"]
+                violated |= row[-1] == "violated"
+                writer.writerow(row)
+    except (ValueError, OSError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
-    violated = False
-    with _csv_output(args.output) as writer:
-        writer.writerow(BENCH_COLUMNS)
-        for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
-            try:
-                row = _bench_cell(u, n, eps, args.kind, args, budget)
-            except (ValueError, RetriesExhausted, BudgetExceeded, MemoryError) as exc:
-                row = [u, n, _format_rate(eps), args.kind] + [""] * 8
-                row += [f"{type(exc).__name__}"]
-            violated |= row[-1] == "violated"
-            writer.writerow(row)
     return EXIT_GUARANTEE_VIOLATED if violated else EXIT_OK
 
 
@@ -280,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="answer one membership query")
     p_query.add_argument("scheme_file")
     p_query.add_argument("element", type=int)
-    p_query.add_argument("--trials", type=_parse_count(0), default=0,
-                         help="also report the empirical positive rate over N probes")
-    p_query.add_argument("--exact", action="store_true",
-                         help="report the exact positive rate over all probe indices")
+    rate = p_query.add_mutually_exclusive_group()
+    rate.add_argument("--trials", type=_parse_count(0), default=0,
+                      help="also report the empirical positive rate over N probes")
+    rate.add_argument("--exact", action="store_true",
+                      help="report the exact positive rate over all probe indices")
     p_query.add_argument("--master-seed", type=int, default=0,
                          help="probe randomness seed (default: 0)")
     p_query.set_defaults(func=cmd_query)

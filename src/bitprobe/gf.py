@@ -17,8 +17,8 @@ GF(2), verified independently):
 A hash function of the family is a polynomial over one of these fields,
 held as a :class:`PolySeed` (coefficient of x^j at position j).  Seeds are
 drawn from a deterministic bit stream so that encoding runs are
-reproducible, or from a plain counter when a test wants to enumerate the
-whole seed space.
+reproducible; a counter standing in for the stream enumerates the whole
+seed space.
 """
 
 from dataclasses import dataclass
@@ -63,13 +63,6 @@ GF2_64 = FieldSpec(64)
 def _check_element(v: int, field: FieldSpec, name: str) -> None:
     if not 0 <= v < field.order:
         raise ValueError(f"{name}={v} does not fit in {field.width_bits} bits")
-
-
-def field_mul(a: int, b: int, field: FieldSpec = GF2_64) -> int:
-    """Multiply two GF(2^b) elements: Horner on the polynomial a*t at t = b."""
-    _check_element(a, field, "a")
-    _check_element(b, field, "b")
-    return _horner((0, a), b, field.width_bits)
 
 
 def _horner(coeffs, x: int, w: int) -> int:
@@ -219,28 +212,13 @@ def default_indep_k(universe_bits: int) -> int:
     return universe_bits * universe_bits
 
 
-def seed_from_index(index: int, indep_k: int, field: FieldSpec) -> PolySeed:
-    """Map an integer in [0, 2^(b*k)) to a seed; bijective on that range.
-
-    Coefficient j takes bits [j*b, (j+1)*b) of the index, so counting
-    through indices enumerates the whole seed space without repetition.
-    """
-    if indep_k < 1:
-        raise ValueError("indep_k must be >= 1")
-    w = field.width_bits
-    if not 0 <= index < 1 << (w * indep_k):
-        raise ValueError("seed index out of range")
-    mask = (1 << w) - 1
-    coeffs = tuple((index >> (j * w)) & mask for j in range(indep_k))
-    return PolySeed(coeffs, field)
-
-
 def draw_seed(rng, indep_k: int, field: FieldSpec = GF2_64) -> PolySeed:
-    """Draw the next seed from ``rng`` (anything with ``getrandbits``)."""
-    most = ((1 << 31) - 1) // field.width_bits  # getrandbits takes a C int
+    """Draw the next seed from ``rng`` (anything with ``getrandbits``):
+    coefficient j takes bits [j*b, (j+1)*b) of one getrandbits call."""
+    w = field.width_bits
+    most = ((1 << 31) - 1) // w  # getrandbits takes a C int
     if not 1 <= indep_k <= most:
-        raise ValueError(f"indep_k must be in [1, {most}] in GF(2^{field.width_bits}), "
-                         f"got {indep_k}")
-    raw = rng.getrandbits(field.width_bits * indep_k)
-    return seed_from_index(raw, indep_k, field)
-
+        raise ValueError(f"indep_k must be in [1, {most}] in GF(2^{w}), got {indep_k}")
+    raw = rng.getrandbits(w * indep_k)
+    mask = (1 << w) - 1
+    return PolySeed(tuple((raw >> (j * w)) & mask for j in range(indep_k)), field)

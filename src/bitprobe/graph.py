@@ -92,18 +92,15 @@ def neighbor(g: SeededGraph, v: int, i: int) -> int:
     return poly_eval(g.seed, v * p.d + i) & (p.s - 1)
 
 
-def edge_targets(g: SeededGraph, vs=None) -> np.ndarray:
-    """Neighbor table for the given left vertices (all of L by default).
+def edge_targets(g: SeededGraph, vs) -> np.ndarray:
+    """Neighbor table for the given left vertices.
 
     Returns an int64 array of shape (len(vs), d); row order follows vs.
     """
     p = g.params
-    if vs is None:
-        vs = np.arange(p.m, dtype=np.int64)
-    else:
-        vs = np.asarray(vs, dtype=np.int64)
-        if vs.size and (vs.min() < 0 or vs.max() >= p.m):
-            raise ValueError("left vertex out of range")
+    vs = np.asarray(vs, dtype=np.int64)
+    if vs.size and (vs.min() < 0 or vs.max() >= p.m):
+        raise ValueError("left vertex out of range")
     pts = (vs[:, None].astype(np.uint64) * np.uint64(p.d)
            + np.arange(p.d, dtype=np.uint64)).ravel()
     out = poly_eval_block(g.seed, pts)

@@ -1,18 +1,15 @@
-"""Brute-force ground truth: exact error profiles of stored schemes and
-exact k-wise uniformity enumeration of the seed family.
+"""Brute-force ground truth: exact error profiles of stored schemes.
 
 Everything here enumerates; nothing samples.  Budgets are hard limits and
 blowing one raises, because an oracle that silently falls back to sampling
 is not an oracle.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldSpec, poly_eval, seed_from_index
 from .reduction import slot_overlap_counts
 from .scheme import Scheme
 
@@ -92,29 +89,3 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     member[A] = True
     per_element = np.where(member, denominator - answered_true, answered_true)
     return ErrorProfile(per_element, denominator, member, p.eps, sch.TWO_SIDED)
-
-
-def kwise_uniformity_check(field: FieldSpec, indep_k: int, points) -> bool:
-    """Exact joint-uniformity check by enumerating every seed of the family.
-
-    Over all |F|^indep_k seeds, the output tuples on the given distinct
-    points must cover (F)^len(points) with equal multiplicity.
-    """
-    if field.width_bits != 3:
-        raise ValueError("exhaustive check supports width 3 only")
-    if indep_k > 3:
-        raise ValueError("indep_k must be <= 3 (at most 512 seeds)")
-    points = list(points)
-    if len(set(points)) != len(points):
-        raise ValueError("evaluation points must be distinct")
-    order = field.order
-    n_seeds = order ** indep_k
-    n_tuples = order ** len(points)
-    expected, rem = divmod(n_seeds, n_tuples)
-    if rem or expected == 0:
-        return False
-    counts = Counter()
-    for idx in range(n_seeds):
-        seed = seed_from_index(idx, indep_k, field)
-        counts[tuple(poly_eval(seed, x) for x in points)] += 1
-    return len(counts) == n_tuples and all(c == expected for c in counts.values())

@@ -25,7 +25,6 @@ SCAN_CHUNK_POINTS = 1 << 18
 @dataclass(frozen=True)
 class ReductionReport:
     violating: tuple
-    threshold_count: int
     scope_size: int
 
     @property
@@ -67,7 +66,6 @@ def check_strong_reduction(g: SeededGraph, A, eps, scope=None) -> ReductionRepor
     """
     p = g.params
     A = set(A)
-    threshold = overlap_threshold(p.d, eps)
     if scope is None:
         rows = np.setdiff1d(np.arange(p.m, dtype=np.int64),
                             np.fromiter(A, dtype=np.int64, count=len(A)))
@@ -77,9 +75,7 @@ def check_strong_reduction(g: SeededGraph, A, eps, scope=None) -> ReductionRepor
             raise ValueError("scope must be disjoint from A")
         rows = np.asarray(sorted(scope), dtype=np.int64)
     if not rows.size:
-        return ReductionReport((), threshold, 0)
-    flags = marked_neighbors(g, A)
-    counts = slot_overlap_counts(g, flags, rows)
-    violating = tuple(int(v) for v in rows[counts >= threshold])
-    return ReductionReport(violating, threshold, len(rows))
-
+        return ReductionReport((), 0)
+    counts = slot_overlap_counts(g, marked_neighbors(g, A), rows)
+    violating = tuple(int(v) for v in rows[counts >= overlap_threshold(p.d, eps)])
+    return ReductionReport(violating, len(rows))

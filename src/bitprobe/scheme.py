@@ -116,34 +116,23 @@ def encode_with_params(cls, A, params: GraphParams, *, indep_k: int, master_seed
     return cls(stages, master_seed, w_size)
 
 
-def resolve_probes(probe_src, stages: int, d: int):
-    """One probe index per stage, all fixed before any read: given outright
-    (an int for a single stage, a tuple or list of ints for several) or
-    drawn from an rng in stage order."""
-    if isinstance(probe_src, int):
-        probe_src = (probe_src,)
-    elif not isinstance(probe_src, (tuple, list)):
-        drawn = []  # a loop: a comprehension's frame costs more per query on 3.11
-        for _ in range(stages):
-            drawn.append(probe_src.randrange(d))
-        return drawn
-    if len(probe_src) != stages:
-        raise ValueError(f"{len(probe_src)} probe indices for {stages} stages")
-    for i in probe_src:
-        if not 0 <= i < d:
-            raise ValueError(f"probe index {i} out of range [0, {d})")
-    return probe_src
+def draw_probes(rng, stages: int, d: int) -> list:
+    """One probe index per stage, drawn from rng in stage order."""
+    drawn = []  # a loop: a comprehension's frame costs more per query on 3.11
+    for _ in range(stages):
+        drawn.append(rng.randrange(d))
+    return drawn
 
 
-def query(sch: Scheme, x: int, probe_src) -> bool:
+def query(sch: Scheme, x: int, rng) -> bool:
     """AND of one bit from each stage's bitmap.  The reads stop at the
-    first 0; the probe indices are all drawn up front (the probes are
-    non-adaptive)."""
+    first 0; the probe indices are all drawn from rng up front (the probes
+    are non-adaptive)."""
     stages = sch.stages
     p = stages[0].graph.params
     if not 0 <= x < p.m:
         raise ValueError(f"element {x} out of range [0, {p.m})")
-    for st, i in zip(stages, resolve_probes(probe_src, len(stages), p.d)):
+    for st, i in zip(stages, draw_probes(rng, len(stages), p.d)):
         if not st.bitmap.get(neighbor(st.graph, x, i)):
             return False
     return True

@@ -36,6 +36,6 @@ def encode(A, universe_bits: int, eps, **options) -> OneProbeScheme:
     return scheme.encode(OneProbeScheme, A, universe_bits, eps, **options)
 
 
-def query(sch: OneProbeScheme, x: int, probe_src) -> bool:
+def query(sch: OneProbeScheme, x: int, rng) -> bool:
     """Answer "x in A?" with a single bit read from the stored bitmap."""
-    return scheme.query(sch, x, probe_src)
+    return scheme.query(sch, x, rng)

@@ -53,8 +53,8 @@ def encode(A, universe_bits: int, eps, **options) -> TwoProbeScheme:
     return scheme.encode(TwoProbeScheme, A, universe_bits, eps, **options)
 
 
-def query(sch: TwoProbeScheme, x: int, probe_src) -> bool:
+def query(sch: TwoProbeScheme, x: int, rng) -> bool:
     """AND of one bit from each stage; at most two reads, one if the first
     bit is 0.  Both probe indices are drawn up front (the pair is
     non-adaptive)."""
-    return scheme.query(sch, x, probe_src)
+    return scheme.query(sch, x, rng)

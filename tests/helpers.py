@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme
-from bitprobe.gf import GF2_16, PolySeed
+from bitprobe.gf import GF2_16, GF2_64, FieldSpec, PolySeed, draw_seed, poly_eval
 from bitprobe.graph import GraphParams, SeededGraph, edge_targets
 from bitprobe.oracle import BudgetExceeded
 from bitprobe.scheme import Stage
@@ -72,6 +73,51 @@ class CounterRng:
             raise ValueError(f"seed space of {n} bits exhausted")
         self._next = value + 1
         return value
+
+
+def field_mul(a, b, field: FieldSpec = GF2_64):
+    """The library's GF(2^b) product: its Horner pass on the polynomial
+    a*t at t = b, which rejects an operand outside the field."""
+    return poly_eval(PolySeed((0, a), field), b)
+
+
+def kwise_uniformity_check(field: FieldSpec, indep_k: int, points) -> bool:
+    """Exact joint-uniformity check by enumerating every seed of the family.
+
+    Over all |F|^indep_k seeds (drawn in index order through CounterRng),
+    the output tuples on the given distinct points must cover
+    (F)^len(points) with equal multiplicity.
+    """
+    if field.width_bits != 3:
+        raise ValueError("exhaustive check supports width 3 only")
+    if indep_k > 3:
+        raise ValueError("indep_k must be <= 3 (at most 512 seeds)")
+    points = list(points)
+    if len(set(points)) != len(points):
+        raise ValueError("evaluation points must be distinct")
+    order = field.order
+    n_seeds = order ** indep_k
+    n_tuples = order ** len(points)
+    expected, rem = divmod(n_seeds, n_tuples)
+    if rem or expected == 0:
+        return False
+    counts = Counter()
+    rng = CounterRng()
+    for _ in range(n_seeds):
+        seed = draw_seed(rng, indep_k, field)
+        counts[tuple(poly_eval(seed, x) for x in points)] += 1
+    return len(counts) == n_tuples and all(c == expected for c in counts.values())
+
+
+class FixedProbes:
+    """Stands in for a query's rng: ``randrange`` returns the given probe
+    indices in order, one per stage."""
+
+    def __init__(self, *indices):
+        self._indices = iter(indices)
+
+    def randrange(self, d):
+        return next(self._indices)
 
 
 def naive_poly_eval(coeffs, x, width, poly_mask):
@@ -170,6 +216,11 @@ def interpolating_coeffs(ys) -> np.ndarray:
     return coeffs
 
 
+def edge_table(g):
+    """The neighbor table of all of L."""
+    return edge_targets(g, range(g.params.m))
+
+
 def explicit_graph(rows, s, eps=Fraction(1, 2), n_cap=None):
     """A seeded graph with exactly the given per-vertex neighbor lists: its
     GF(2^16) seed polynomial interpolates the table at the edge indices
@@ -180,7 +231,7 @@ def explicit_graph(rows, s, eps=Fraction(1, 2), n_cap=None):
     params = toy_params(m, s, d, eps, n_cap=n_cap if n_cap is not None else max(1, m - 1))
     coeffs = tuple(int(c) for c in interpolating_coeffs(table.ravel()))
     g = SeededGraph(params, PolySeed(coeffs, GF2_16))
-    assert np.array_equal(edge_targets(g), table)
+    assert np.array_equal(edge_table(g), table)
     return g
 
 

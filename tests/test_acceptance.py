@@ -19,8 +19,8 @@ from bitprobe import bmrv, scheme_one, scheme_two, storage
 from bitprobe.bmrv import default_max_iters, greedy_label
 from bitprobe.cli import main
 from bitprobe.gf import GF2_3, default_indep_k, draw_seed
-from bitprobe.graph import SeededGraph, derive_params, edge_targets, neighbor
-from bitprobe.oracle import error_profile, kwise_uniformity_check
+from bitprobe.graph import SeededGraph, derive_params, neighbor
+from bitprobe.oracle import error_profile
 from bitprobe.reduction import (
     check_strong_reduction,
     slot_overlap_counts,
@@ -32,6 +32,8 @@ from helpers import (
     TINY_K_MAX,
     CountingBitmap,
     check_reduction_property,
+    edge_table,
+    kwise_uniformity_check,
     scheme_of,
     verified_tiny_expanders,
     with_bitmaps,
@@ -254,7 +256,7 @@ def test_criterion_7_oracle_equivalences(capsys):
 
     # (a) expansion implies the reduction property, for every |A| <= k_max/2
     for gi, g in enumerate(verified_tiny_expanders(3, master_seed=0xACCE70)):
-        table = edge_targets(g)
+        table = edge_table(g)
         for size in range(1, TINY_K_MAX // 2 + 1):
             for A in itertools.combinations(range(g.params.m), size):
                 if not check_reduction_property(table, A, TINY_EPS):
@@ -273,7 +275,7 @@ def test_criterion_7_oracle_equivalences(capsys):
     rng = random.Random(0xACCE7C)
     params = derive_params(8, 2, Fraction(1, 2))
     g = SeededGraph(params, draw_seed(rng, INDEP_K))
-    table = edge_targets(g)
+    table = edge_table(g)
     mism = sum(neighbor(g, v, i) != table[v, i]
                for v, i in ((rng.randrange(params.m), rng.randrange(params.d))
                             for _ in range(10_000)))

@@ -15,6 +15,7 @@ from bitprobe.oracle import error_profile
 from bitprobe.reduction import SCAN_CHUNK_POINTS
 from helpers import (
     TINY_EPS,
+    FixedProbes,
     explicit_graph,
     random_explicit_graph,
     random_rows,
@@ -174,7 +175,7 @@ def test_encode_query_roundtrip_on_seeded_graph():
     sch = bmrv.encode(A, 6, Fraction(1, 2), indep_k=6, master_seed=7)
     assert sch.stages[0].retries >= 1
     for x in A:
-        hits = sum(bmrv.query(sch, x, i) for i in range(sch.params.d))
+        hits = sum(bmrv.query(sch, x, FixedProbes(i)) for i in range(sch.params.d))
         assert hits >= sch.params.d - sch.params.d * Fraction(1, 2)
     assert error_profile(sch, A).holds
 
@@ -185,8 +186,8 @@ def test_encode_scans_in_chunks_past_scan_chunk_points(monkeypatch):
     A = [5, 700, 1999, 4096, 8191]
     calls = []  # (module, rows) per edge_targets call
     for module in (bmrv, reduction):
-        def spy(g, vs=None, real=module.edge_targets, caller=module):
-            calls.append((caller, g.params.m if vs is None else len(vs)))
+        def spy(g, vs, real=module.edge_targets, caller=module):
+            calls.append((caller, len(vs)))
             return real(g, vs)
         monkeypatch.setattr(module, "edge_targets", spy)
     sch = bmrv.encode(A, 13, Fraction(1, 2), indep_k=6, master_seed=3)

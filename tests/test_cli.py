@@ -4,6 +4,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bitprobe import cli, graph, scheme_one, storage
 from bitprobe.bits import Bitmap
@@ -95,6 +97,7 @@ def test_build_rejects_master_seed_outside_u64(tmp_path, capsys, seed):
     ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--max-retries", "-3"],
     ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--max-retries", "0"],
     ["query", "OUT", "1", "--trials", "-5"],
+    ["query", "OUT", "1", "--trials", "\u0667"],  # an Arabic-Indic 7: int() takes it
 ])
 def test_count_flags_reject_values_below_their_range(tmp_path, capsys, argv):
     out, _ = build(tmp_path, [1], capsys, u=4)
@@ -144,6 +147,14 @@ def test_query_element_out_of_range(tmp_path, capsys):
     out, _ = build(tmp_path, [1], capsys, u=6)
     assert main(["query", out, "64"]) == 2
     capsys.readouterr()
+
+
+def test_query_exact_and_trials_are_exclusive(tmp_path, capsys):
+    out, _ = build(tmp_path, [1], capsys, u=4)
+    with pytest.raises(SystemExit) as exc:
+        main(["query", out, "1", "--exact", "--trials", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_verify_pass_and_csv_profile(tmp_path, capsys):
@@ -229,7 +240,7 @@ def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])
-@pytest.mark.parametrize("raw", ["abc", "-5"])
+@pytest.mark.parametrize("raw", ["abc", "-5", "\u0667"])
 def test_malformed_budget_fails_as_bad_input(tmp_path, capsys, monkeypatch, raw, command):
     out, _ = build(tmp_path, [1, 2], capsys, u=6)
     csv_path = tmp_path / "out.csv"
@@ -240,6 +251,74 @@ def test_malformed_budget_fails_as_bad_input(tmp_path, capsys, monkeypatch, raw,
     assert rc == 2
     assert f"BITPROBE_BUDGET must be an integer >= 0, got {raw!r}" in capsys.readouterr().err
     assert not csv_path.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "bench"])
+def test_unwritable_output_fails_as_bad_input(tmp_path, capsys, command):
+    out, _ = build(tmp_path, [1, 2], capsys, u=6)
+    set_file = write_set(tmp_path, [1, 2])
+    argv = {"build": ["build", set_file, "--universe-bits", "6", "--eps", "1/2",
+                      "--indep-k", "6"],
+            "verify": ["verify", out, set_file],
+            "bench": ["bench", "--u-list", "6", "--eps-list", "1/2", "--trials", "1",
+                      "--indep-k", "6"]}
+    rc = main(argv[command] + ["-o", str(tmp_path / "no-such-dir" / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: ") and "no-such-dir" in err
+
+
+# Set files hold one element per line as ASCII digits alone: no sign, no
+# underscore, no other script's digits, though int() takes all of these.
+NON_DECIMAL = st.one_of(
+    st.sampled_from(["+3", "1_1", "\u0667", "\uff13", "-1", "0x1", "1.0", "1e1", "3 4"]),
+    st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
+            min_size=1))
+# tmp_path is shared by the examples of a test: each example rewrites its files.
+TMP_PATH_OK = [HealthCheck.function_scoped_fixture]
+
+
+def _non_decimal(line):
+    """Whether the stripped line is nonblank and not ASCII digits alone."""
+    text = line.strip()
+    return bool(text) and not (text.isascii() and text.isdigit())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=TMP_PATH_OK)
+@given(elements=st.lists(st.integers(0, 15), unique=True, max_size=4),
+       bad=NON_DECIMAL.filter(_non_decimal),
+       at=st.integers(0, 4))
+def test_set_file_rejects_every_non_decimal_line(tmp_path, capsys, elements, bad, at):
+    lines = [str(x) for x in elements]
+    lines.insert(at, bad)
+    set_file = tmp_path / "set.txt"
+    set_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "bad.bps"
+    out.unlink(missing_ok=True)
+    rc = main(["build", str(set_file), "-o", str(out), "--universe-bits", "4",
+               "--eps", "1/2", "--indep-k", "6"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("build failed: ")
+    assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=TMP_PATH_OK)
+@given(elements=st.lists(st.integers(0, 15), unique=True, max_size=4),
+       layout=st.lists(st.tuples(st.sampled_from(["", " ", "\t", "0", "00"]),
+                                 st.sampled_from(["", " ", "\t"]),
+                                 st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"])),
+                       min_size=4, max_size=4))
+def test_set_file_decimal_lines_build_the_library_scheme(tmp_path, capsys, elements, layout):
+    # padding, leading zeros, blank lines and CRLF endings leave the set as it is
+    text = "".join(f"{pad}{x}{tail}{end}" for x, (pad, tail, end) in zip(elements, layout))
+    set_file = tmp_path / "set.txt"
+    set_file.write_text(text, encoding="utf-8", newline="")
+    out = tmp_path / "good.bps"
+    assert main(["build", str(set_file), "-o", str(out), "--universe-bits", "4",
+                 "--eps", "1/2", "--indep-k", "6"]) == 0
+    capsys.readouterr()
+    want = storage.save(scheme_one.encode(elements, 4, Fraction(1, 2), indep_k=6))
+    assert out.read_bytes() == want
 
 
 def test_bench_grid_and_empty_grid(tmp_path, capsys):

@@ -15,14 +15,12 @@ from bitprobe.gf import (
     PolySeed,
     default_indep_k,
     draw_seed,
-    field_mul,
     poly_eval,
     poly_eval_block,
-    seed_from_index,
 )
 from bitprobe.gf import _CHUNK_POINTS
 
-from helpers import CounterRng, naive_gf_mul, naive_poly_eval, sym_mul3
+from helpers import CounterRng, field_mul, naive_gf_mul, naive_poly_eval, sym_mul3
 
 ALL_FIELDS = [GF2_3, GF2_8, GF2_16, GF2_32, GF2_64]
 WIDE_FIELDS = [GF2_8, GF2_16, GF2_32, GF2_64]
@@ -130,8 +128,9 @@ def test_poly_eval_gf8_example():
 def test_poly_eval_matches_power_sum_reference_width3():
     # every seed with k <= 3 coefficients, every point
     for k in (1, 2, 3):
-        for idx in range(8 ** k):
-            seed = seed_from_index(idx, k, GF2_3)
+        rng = CounterRng()
+        for _ in range(8 ** k):
+            seed = draw_seed(rng, k, GF2_3)
             for x in range(8):
                 assert poly_eval(seed, x) == naive_poly_eval(
                     seed.coeffs, x, 3, GF2_3.reduction_poly)
@@ -240,11 +239,9 @@ def test_draw_seed_counter_enumerates_space_without_repetition():
         draw_seed(rng, 2, GF2_3)  # 6-bit space exhausted
 
 
-def test_seed_from_index_rejects_bad_input():
+def test_draw_seed_rejects_indep_k_below_one():
     with pytest.raises(ValueError):
-        seed_from_index(64, 2, GF2_3)
-    with pytest.raises(ValueError):
-        seed_from_index(0, 0, GF2_3)
+        draw_seed(CounterRng(), 0, GF2_3)
 
 
 def test_default_indep_k_is_log_squared():

@@ -17,7 +17,7 @@ from bitprobe.graph import (
     neighborhood_bitmap,
 )
 
-from helpers import explicit_graph, naive_poly_eval, toy_params
+from helpers import edge_table, explicit_graph, naive_poly_eval, toy_params
 
 
 @pytest.mark.parametrize("u,n,eps,want_d,want_s", [
@@ -148,7 +148,7 @@ def test_neighborhood_bitmap_toy_adjacency():
 def test_scalar_neighbor_matches_edge_targets_on_every_entry():
     params = toy_params(m=16, s=64, d=3, eps=Fraction(1, 2))
     g = SeededGraph(params, PolySeed((7, 9, 11), GF2_64))
-    table = edge_targets(g)
+    table = edge_table(g)
     for v in range(16):
         for i in range(3):
             assert neighbor(g, v, i) == table[v, i]
@@ -157,7 +157,7 @@ def test_scalar_neighbor_matches_edge_targets_on_every_entry():
 def test_edge_targets_per_entry_reference():
     params = toy_params(m=4, s=8, d=2, eps=Fraction(1, 2))
     seed = PolySeed((3, 5), GF2_3)
-    table = edge_targets(SeededGraph(params, seed))
+    table = edge_table(SeededGraph(params, seed))
     for v in range(4):
         for i in range(2):
             want = naive_poly_eval((3, 5), v * 2 + i, 3, GF2_3.reduction_poly) & 7
@@ -166,7 +166,7 @@ def test_edge_targets_per_entry_reference():
 
 def test_edge_targets_constant_zero_seed():
     params = toy_params(m=4, s=8, d=2, eps=Fraction(1, 2))
-    assert not edge_targets(SeededGraph(params, PolySeed((0,), GF2_64))).any()
+    assert not edge_table(SeededGraph(params, PolySeed((0,), GF2_64))).any()
 
 
 @pytest.mark.parametrize("field", [GF2_16, GF2_32, GF2_64])
@@ -175,7 +175,7 @@ def test_edge_targets_matches_scalar_neighbor(field):
     params = toy_params(m=32, s=256, d=6, eps=Fraction(1, 2))
     seed = PolySeed(tuple(rng.randrange(field.order) for _ in range(4)), field)
     g = SeededGraph(params, seed)
-    table = edge_targets(g)
+    table = edge_table(g)
     assert table.shape == (32, 6)
     for _ in range(200):
         v = rng.randrange(32)
@@ -199,7 +199,7 @@ def neighbor_tables(draw):
 @settings(max_examples=20, deadline=None)
 @given(neighbor_tables())
 def test_hand_built_graph_reproduces_its_table(table):
-    # explicit_graph itself asserts that edge_targets gives back the table
+    # explicit_graph itself asserts that edge_table gives back the table
     rows, s = table
     g = explicit_graph(rows, s)
     m, d = len(rows), len(rows[0])

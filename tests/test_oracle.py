@@ -10,8 +10,7 @@ from bitprobe import scheme_one, scheme_two
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme, greedy_label
 from bitprobe.gf import GF2_3, GF2_8
-from bitprobe.graph import edge_targets
-from bitprobe.oracle import BudgetExceeded, error_profile, kwise_uniformity_check
+from bitprobe.oracle import BudgetExceeded, error_profile
 from bitprobe.scheme import exact_error
 from bitprobe.scheme_one import OneProbeScheme
 from bitprobe.scheme_two import TwoProbeScheme
@@ -21,7 +20,9 @@ from helpers import (
     TINY_EPS,
     TINY_K_MAX,
     check_reduction_property,
+    edge_table,
     explicit_graph,
+    kwise_uniformity_check,
     random_rows,
     scheme_of,
     verified_tiny_expanders,
@@ -181,7 +182,7 @@ def test_expansion_implies_reduction_property_exhaustively():
     # delta <= eps/4 expansion forces the reduction property for every
     # |A| <= k_max/2, checked over every such subset.
     for g in verified_tiny_expanders(2, master_seed=77):
-        table = edge_targets(g)
+        table = edge_table(g)
         for size in (1, 2):
             for A in itertools.combinations(range(g.params.m), size):
                 assert check_reduction_property(table, A, TINY_EPS)

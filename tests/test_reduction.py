@@ -8,13 +8,18 @@ from bitprobe.gf import draw_seed
 from bitprobe.graph import (
     SeededGraph,
     derive_params,
-    edge_targets,
     neighbor,
     neighborhood_bitmap,
 )
 from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_overlap
 
-from helpers import check_reduction_property, explicit_graph, random_explicit_graph, toy_params
+from helpers import (
+    check_reduction_property,
+    edge_table,
+    explicit_graph,
+    random_explicit_graph,
+    toy_params,
+)
 
 
 def star_graph(m, d, s=2):
@@ -56,14 +61,14 @@ def test_strong_reduction_empty_set():
     report = check_strong_reduction(g, [], Fraction(1, 2))
     assert report.holds
     assert report.scope_size == 10
-    assert report.threshold_count == 2
+    assert overlap_threshold(g.params.d, Fraction(1, 2)) == 2
 
 
 def test_strong_reduction_star_graph_everything_violates():
     g = star_graph(m=6, d=4)
     report = check_strong_reduction(g, [0], Fraction(1, 2))
     assert report.violating == (1, 2, 3, 4, 5)
-    assert not check_reduction_property(edge_targets(g), [0], Fraction(1, 2))
+    assert not check_reduction_property(edge_table(g), [0], Fraction(1, 2))
 
 
 def test_strong_reduction_matches_brute_force_on_random_graphs():
@@ -98,7 +103,6 @@ def test_strong_reduction_explicit_scope_is_restriction_of_full():
         sub = check_strong_reduction(g, A, Fraction(1, 2), scope=scope)
         assert list(sub.violating) == [v for v in full.violating if v in set(scope)]
         assert sub.scope_size == 7
-        assert sub.threshold_count == full.threshold_count
 
 
 def test_strong_reduction_rejects_overlapping_scope():
@@ -137,10 +141,10 @@ def test_probe_overlap_bounds_distinct_vertex_count():
 
 def test_reduction_property_trivial_and_implied():
     g = random_explicit_graph(random.Random(2), m=10, s=128, d=3, n_cap=4)
-    assert check_reduction_property(edge_targets(g), [], Fraction(1, 2))
+    assert check_reduction_property(edge_table(g), [], Fraction(1, 2))
     A = [1, 4]
     if check_strong_reduction(g, A, Fraction(1, 2)).holds:
-        assert check_reduction_property(edge_targets(g), A, Fraction(1, 2))
+        assert check_reduction_property(edge_table(g), A, Fraction(1, 2))
 
 
 def test_majority_of_random_seeds_pass():

@@ -8,7 +8,7 @@ from bitprobe.graph import GraphParams
 from bitprobe.scheme import RetriesExhausted, exact_error
 from bitprobe.scheme_one import OneProbeScheme, encode, query
 
-from helpers import CountingBitmap, with_bitmaps
+from helpers import CountingBitmap, FixedProbes, with_bitmaps
 
 
 def small_scheme(u=8, n=4, eps=Fraction(1, 2), master_seed=11):
@@ -23,7 +23,7 @@ def test_empty_set_accepts_first_seed_with_zero_bitmap():
     assert sch.stages[0].bitmap.as_bool_array().sum() == 0
     for x in (0, 13, 63):
         for i in range(sch.params.d):
-            assert not query(sch, x, i)
+            assert not query(sch, x, FixedProbes(i))
         assert exact_error(sch, x) == 0
 
 
@@ -31,7 +31,7 @@ def test_members_always_answer_true_on_every_probe():
     A, sch = small_scheme()
     for x in A:
         for i in range(sch.params.d):
-            assert query(sch, x, i)
+            assert query(sch, x, FixedProbes(i))
         assert exact_error(sch, x) == 1
 
 
@@ -45,7 +45,7 @@ def test_nonmembers_error_below_eps_exhaustively():
         rate = exact_error(sch, x)
         assert rate < sch.eps
         # cross-check by enumerating every probe index
-        hits = sum(query(sch, x, i) for i in range(d))
+        hits = sum(query(sch, x, FixedProbes(i)) for i in range(d))
         assert rate == Fraction(hits, d)
 
 
@@ -85,14 +85,14 @@ def test_query_reads_exactly_one_bit():
         assert counting.reads == k + 1
 
 
-def test_query_probe_source_forms():
+def test_query_rejects_out_of_range_probe_and_element():
     A, sch = small_scheme()
     x = A[0]
-    assert query(sch, x, 0) == query(sch, x, random.Random(9))
+    assert query(sch, x, FixedProbes(0)) == query(sch, x, random.Random(9))
     with pytest.raises(ValueError):
-        query(sch, x, sch.params.d)  # explicit index out of range
+        query(sch, x, FixedProbes(sch.params.d))  # probe index out of range
     with pytest.raises(ValueError):
-        query(sch, sch.params.m, 0)  # element out of range
+        query(sch, sch.params.m, FixedProbes(0))  # element out of range
     with pytest.raises(ValueError):
         exact_error(sch, -1)
 

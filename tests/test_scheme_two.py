@@ -10,7 +10,7 @@ from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_
 from bitprobe.scheme import RetriesExhausted, exact_error
 from bitprobe.scheme_two import TwoProbeScheme, encode, query
 
-from helpers import CountingBitmap, explicit_graph, with_bitmaps
+from helpers import CountingBitmap, FixedProbes, explicit_graph, with_bitmaps
 
 # Toy cell where stage 1 routinely leaves a nonempty misclassified set:
 # m=16, s=16, d=4, eps=1/2, A of size 4, master_seed=0 gives |W| = 2.
@@ -56,7 +56,7 @@ def test_empty_set_encodes_trivially():
     assert sch.stages[1].retries == 1
     assert sch.stages[0].bitmap.as_bool_array().sum() == 0
     assert sch.stages[1].bitmap.as_bool_array().sum() == 0
-    assert not query(sch, 17, (0, 0))
+    assert not query(sch, 17, FixedProbes(0, 0))
 
 
 def test_w_bound_and_bitmaps_exact():
@@ -77,7 +77,7 @@ def test_members_always_true_over_all_probe_pairs():
     d = sch.params.d
     for x in W_SET:
         for i1, i2 in itertools.product(range(d), repeat=2):
-            assert query(sch, x, (i1, i2))
+            assert query(sch, x, FixedProbes(i1, i2))
 
 
 def test_exact_error_factorizes_and_stays_below_eps():
@@ -87,7 +87,7 @@ def test_exact_error_factorizes_and_stays_below_eps():
     w = set(check_strong_reduction(sch.g1, W_SET, sch.eps).violating)
     t = overlap_threshold(d, sch.eps)
     for x in range(sch.params.m):
-        true_pairs = sum(query(sch, x, (i1, i2))
+        true_pairs = sum(query(sch, x, FixedProbes(i1, i2))
                          for i1, i2 in itertools.product(range(d), repeat=2))
         rate = exact_error(sch, x)
         assert rate == Fraction(true_pairs, d * d)
@@ -134,7 +134,7 @@ def test_query_reads_at_most_two_bits():
     assert reads_seen == {1, 2}
     # a guaranteed first-stage zero stops after one read
     before = c1.reads + c2.reads
-    assert not query(instrumented, zero, (0, 0))
+    assert not query(instrumented, zero, FixedProbes(0, 0))
     assert c1.reads + c2.reads - before == 1
 
 
