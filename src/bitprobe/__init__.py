@@ -40,6 +40,7 @@ from .scheme_two import TwoProbeScheme
 from .oracle import (
     BudgetExceeded,
     ErrorProfile,
+    KernelMismatch,
     error_profile,
 )
 from .storage import (

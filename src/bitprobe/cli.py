@@ -22,7 +22,7 @@ import numpy as np
 from . import bmrv, scheme_one, scheme_two, storage
 from .gf import FIELD_WIDTHS, FieldSpec
 from .graph import derive_params, neighbor
-from .oracle import BudgetExceeded, error_profile
+from .oracle import BudgetExceeded, KernelMismatch, error_profile
 from .scheme import DEFAULT_MAX_RETRIES, RetriesExhausted, draw_probes, exact_error, query
 
 EXIT_OK = 0
@@ -58,6 +58,14 @@ def _parse_count(least: int, most: float = float("inf")):
             raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return int(text)
     return parse
+
+
+def _parse_seed(text: str) -> int:
+    """An argparse type for decimal integers with an optional minus sign;
+    the command checks the range."""
+    if not _is_decimal(text.strip().removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
 
 
 # u is at most the widest field's width: edge indices are field elements.
@@ -180,6 +188,9 @@ def cmd_verify(args) -> int:
     except BudgetExceeded as exc:
         print(f"verify aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
+    except KernelMismatch as exc:
+        print(f"verify failed: {exc}", file=sys.stderr)
+        return EXIT_GUARANTEE_VIOLATED
     except (ValueError, OSError, storage.SchemeFileError) as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_ENCODE_FAILURE
@@ -240,10 +251,11 @@ def cmd_bench(args) -> int:
             for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
                 try:
                     row = _bench_cell(u, n, eps, args.kind, args, budget)
-                except (ValueError, RetriesExhausted, BudgetExceeded, MemoryError) as exc:
+                except (ValueError, RetriesExhausted, BudgetExceeded, KernelMismatch,
+                        MemoryError) as exc:
                     row = [u, n, _format_rate(eps), args.kind] + [""] * 8
                     row += [f"{type(exc).__name__}"]
-                violated |= row[-1] == "violated"
+                violated |= row[-1] in ("violated", KernelMismatch.__name__)
                 writer.writerow(row)
     except (ValueError, OSError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
@@ -266,27 +278,27 @@ def build_parser() -> argparse.ArgumentParser:
                          help="u with m = 2^u, in [1, 64]")
     p_build.add_argument("--eps", type=_parse_eps, required=True,
                          help="error bound as a rational, e.g. 1/4")
-    p_build.add_argument("--n-cap", type=int, default=None,
+    p_build.add_argument("--n-cap", type=_parse_count(1), default=None,
                          help="set capacity (default: the set's size)")
-    p_build.add_argument("--master-seed", type=int, default=0,
+    p_build.add_argument("--master-seed", type=_parse_seed, default=0,
                          help="seed for the candidate stream, in [0, 2^64) (default: 0)")
     p_build.add_argument("--max-retries", type=_parse_count(1), default=DEFAULT_MAX_RETRIES,
                          help=f"candidate seeds per stage (default: {DEFAULT_MAX_RETRIES})")
-    p_build.add_argument("--indep-k", type=int, default=None,
+    p_build.add_argument("--indep-k", type=_parse_count(1), default=None,
                          help="hash independence order (default: u^2)")
-    p_build.add_argument("--field-width", type=int, default=64, choices=FIELD_WIDTHS,
-                         help="field width in bits (default: 64)")
+    p_build.add_argument("--field-width", type=_parse_count(0), default=64,
+                         choices=FIELD_WIDTHS, help="field width in bits (default: 64)")
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="answer one membership query")
     p_query.add_argument("scheme_file")
-    p_query.add_argument("element", type=int)
+    p_query.add_argument("element", type=_parse_count(0))
     rate = p_query.add_mutually_exclusive_group()
     rate.add_argument("--trials", type=_parse_count(0), default=0,
                       help="also report the empirical positive rate over N probes")
     rate.add_argument("--exact", action="store_true",
                       help="report the exact positive rate over all probe indices")
-    p_query.add_argument("--master-seed", type=int, default=0,
+    p_query.add_argument("--master-seed", type=_parse_seed, default=0,
                          help="probe randomness seed (default: 0)")
     p_query.set_defaults(func=cmd_query)
 
@@ -301,16 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="space/error/time table over a grid")
     p_bench.add_argument("--u-list", type=_parse_list(_parse_universe_bits), default=[],
                          help="comma-separated universe_bits values, each in [1, 64]")
-    p_bench.add_argument("--n-list", type=_parse_list(int), default=[4],
+    p_bench.add_argument("--n-list", type=_parse_list(_parse_count(0)), default=[4],
                          help="comma-separated set sizes (default: 4)")
     p_bench.add_argument("--eps-list", type=_parse_list(_parse_eps), default=[],
                          help="comma-separated rationals, e.g. 1/2,1/4")
     p_bench.add_argument("--kind", choices=tuple(_ENCODERS), default="one")
     p_bench.add_argument("--trials", type=_parse_count(1), default=3,
                          help="builds per cell (default: 3)")
-    p_bench.add_argument("--indep-k", type=int, default=None)
-    p_bench.add_argument("--field-width", type=int, default=64, choices=FIELD_WIDTHS)
-    p_bench.add_argument("--master-seed", type=int, default=0)
+    p_bench.add_argument("--indep-k", type=_parse_count(1), default=None)
+    p_bench.add_argument("--field-width", type=_parse_count(0), default=64,
+                         choices=FIELD_WIDTHS)
+    p_bench.add_argument("--master-seed", type=_parse_seed, default=0)
     p_bench.add_argument("-o", "--output", default=None,
                          help="CSV path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)

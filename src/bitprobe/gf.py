@@ -19,12 +19,22 @@ held as a :class:`PolySeed` (coefficient of x^j at position j).  Seeds are
 drawn from a deterministic bit stream so that encoding runs are
 reproducible; a counter standing in for the stream enumerates the whole
 seed space.
+
+Evaluation has two routes with the same values.  The compiled one is the
+Horner loop of ``_clmul.c`` on the CPU's carry-less multiply, built on the
+first evaluation and cached (see ``_clmul``): ``poly_eval_block`` hands it
+a whole array, ``poly_eval`` one point.  Where it cannot run, or with
+``BITPROBE_KERNEL=numpy``, they fall back to a numpy bit-split Horner
+(``_numpy_block``) and a pure-Python one (``_horner``), which also serve as
+the compiled loop's independent references.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
+
+from . import _clmul
 
 _REDUCTION_POLYS = {3: 0x03, 8: 0x1B, 16: 0x2B, 32: 0x8D, 64: 0x1B}
 FIELD_WIDTHS = tuple(_REDUCTION_POLYS)
@@ -106,19 +116,31 @@ class PolySeed:
     def indep_k(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def _words(self):
+        """The coefficients as the uint64 array the compiled loop reads,
+        made once per seed."""
+        return _clmul._ffi().new("uint64_t[]", self.coeffs)
+
 
 def poly_eval(seed: PolySeed, x: int) -> int:
     """Evaluate the seed polynomial at a single field element (Horner)."""
     _check_element(x, seed.field, "x")
-    return _horner(seed.coeffs, x, seed.field.width_bits)
+    lib = _clmul._lib()
+    if lib is None:
+        return _horner(seed.coeffs, x, seed.field.width_bits)
+    field = seed.field
+    return lib.horner1(seed._words, len(seed.coeffs), x, field.width_bits, field.reduction_poly)
 
 
 # ---------------------------------------------------------------------------
 # Bulk evaluation over numpy uint64 arrays.
 #
-# Carry-less 32x32->64 multiply via the 4-way bit-split trick: operands are
-# masked into four interleaved quarters so that plain integer products never
-# carry into a used bit position of their residue class.  Horner multiplies
+# poly_eval_block passes the array to the compiled loop when it is loaded.
+# The numpy route below is the fallback and the reference: a carry-less
+# 32x32->64 multiply via the 4-way bit-split trick.  Operands are masked
+# into four interleaved quarters so that plain integer products never carry
+# into a used bit position of their residue class.  Horner multiplies
 # by the same point x at every step, so the quarters of x's 32-bit limbs are
 # masked once per chunk and a step masks only the accumulator's limbs.  A
 # high limb of x that is zero across the chunk is skipped (edge indices are
@@ -185,6 +207,19 @@ def _mul_point(acc, x_quarters, field: FieldSpec, bits):
 def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     """Evaluate the seed polynomial at every point of a uint64 array."""
     xs = np.ascontiguousarray(xs, dtype=np.uint64)
+    lib = _clmul._lib()
+    if lib is None:
+        return _numpy_block(seed, xs)
+    out = np.empty_like(xs)
+    ffi, field = _clmul._ffi(), seed.field
+    lib.horner(seed._words, len(seed.coeffs), ffi.from_buffer("uint64_t[]", xs),
+               ffi.from_buffer("uint64_t[]", out, require_writable=True), xs.size,
+               field.width_bits, field.reduction_poly)
+    return out
+
+
+def _numpy_block(seed: PolySeed, xs: np.ndarray) -> np.ndarray:
+    """poly_eval_block on the numpy route, for a contiguous uint64 array."""
     out = np.empty_like(xs)
     flat_xs, flat_out = xs.reshape(-1), out.reshape(-1)
     field = seed.field

@@ -1,24 +1,35 @@
 """Brute-force ground truth: exact error profiles of stored schemes.
 
-Everything here enumerates; nothing samples.  Budgets are hard limits and
-blowing one raises, because an oracle that silently falls back to sampling
-is not an oracle.
+Every error count here enumerates; nothing samples.  Budgets are hard
+limits and blowing one raises, because an oracle that silently falls back
+to sampling is not an oracle.  The one sample is a cross-check of the edge
+scan itself: the encoder and the oracle share one evaluation kernel, so a
+fault in it would otherwise certify itself.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .gf import _numpy_block, poly_eval_block
+from .graph import SeededGraph
 from .reduction import slot_overlap_counts
 from .scheme import Scheme
 
 # error_profile default: at most 2^20 universe elements times the probe count.
 PROBE_BUDGET_ELEMENTS = 1 << 20
+# Edges per stage that error_profile re-derives on the numpy route.
+EDGE_SAMPLES = 256
 
 
 class BudgetExceeded(Exception):
     pass
+
+
+class KernelMismatch(Exception):
+    """The edge scan and the numpy route disagree on a sampled edge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +71,22 @@ class ErrorProfile:
         return self.false_negative_count == 0 and self.max_nonmember_error < self.eps
 
 
+def _check_edge_sample(g: SeededGraph, stage: int) -> None:
+    """Raise KernelMismatch unless ``EDGE_SAMPLES`` edge indices, drawn by
+    an rng keyed by the seed, evaluate the same through ``poly_eval_block``
+    (the route of the edge scan) as through the numpy route.  Under the
+    numpy fallback both sides run that route."""
+    p = g.params
+    rng = random.Random(repr(g.seed.coeffs))
+    edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
+    scanned, reference = poly_eval_block(g.seed, edges), _numpy_block(g.seed, edges)
+    bad = np.flatnonzero(scanned != reference)
+    if bad.size:
+        i = bad[0]
+        raise KernelMismatch(f"stage {stage}: edge index {edges[i]} evaluates to {scanned[i]} "
+                             f"in the edge scan but to {reference[i]} on the numpy route")
+
+
 def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     """Enumerate every probe of every universe element and report exact
     error counts for the scheme that stores A.
@@ -67,7 +94,9 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     The number of probe tuples (one slot per stage, d^stages of them) that
     answer x true factors into the product of the per-stage slot overlaps.
     The product is exact in int64: derived sizing has 2 d^2 n_cap <= s
-    <= 2^64, so d^2 < 2^63.
+    <= 2^64, so d^2 < 2^63.  Each stage's edge scan is first cross-checked
+    on a sample (see ``_check_edge_sample``); a disagreement raises
+    KernelMismatch.
     """
     p = sch.params
     stages = len(sch.stages)
@@ -82,7 +111,8 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
 
     rows = np.arange(p.m, dtype=np.int64)
     answered_true = np.ones(p.m, dtype=np.int64)
-    for st in sch.stages:
+    for number, st in enumerate(sch.stages, 1):
+        _check_edge_sample(st.graph, number)
         answered_true *= slot_overlap_counts(st.graph, st.bitmap.as_bool_array(), rows)
     denominator = p.d ** stages
     member = np.zeros(p.m, dtype=bool)

@@ -1,13 +1,14 @@
 import csv
 import hashlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitprobe import cli, graph, scheme_one, storage
+from bitprobe import _clmul, cli, graph, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
@@ -98,6 +99,14 @@ def test_build_rejects_master_seed_outside_u64(tmp_path, capsys, seed):
     ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--max-retries", "0"],
     ["query", "OUT", "1", "--trials", "-5"],
     ["query", "OUT", "1", "--trials", "\u0667"],  # an Arabic-Indic 7: int() takes it
+    ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--indep-k", "\u0667"],
+    ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--n-cap", "+1_0"],
+    ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2",
+     "--field-width", "\u0668"],
+    ["query", "OUT", "+1_0"],
+    ["query", "OUT", "\u0667"],
+    ["bench", "--u-list", "4", "--eps-list", "1/2", "--n-list", "1,+1_0"],
+    ["bench", "--u-list", "4", "--eps-list", "1/2", "--indep-k", "\u0667"],
 ])
 def test_count_flags_reject_values_below_their_range(tmp_path, capsys, argv):
     out, _ = build(tmp_path, [1], capsys, u=4)
@@ -106,6 +115,21 @@ def test_count_flags_reject_values_below_their_range(tmp_path, capsys, argv):
         main([paths.get(arg, arg) for arg in argv])
     assert exc.value.code == 2
     assert "expected an integer >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["+1_0", "\u0667"])
+@pytest.mark.parametrize("argv", [
+    ["build", "SET", "-o", "OUT", "--universe-bits", "4", "--eps", "1/2", "--master-seed"],
+    ["query", "OUT", "1", "--master-seed"],
+    ["bench", "--u-list", "4", "--eps-list", "1/2", "--master-seed"],
+])
+def test_master_seed_takes_decimal_digits_only(tmp_path, capsys, argv, seed):
+    out, _ = build(tmp_path, [1], capsys, u=4)
+    paths = {"SET": write_set(tmp_path, [1]), "OUT": out}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv] + [seed])
+    assert exc.value.code == 2
+    assert f"expected a decimal integer, got {seed!r}" in capsys.readouterr().err
 
 
 def test_query_member_and_nonmember(tmp_path, capsys):
@@ -228,6 +252,35 @@ def test_verify_output_matches_golden(tmp_path, capsys, kind):
         rc = main(["verify", out, set_file, "-o", str(csv_path)])
         digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
         assert (rc, digest, capsys.readouterr().err) == GOLDEN_VERIFY[kind, variant]
+
+
+def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, capsys,
+                                                                   monkeypatch):
+    lib = _clmul._lib()
+    if lib is None:
+        pytest.skip("the compiled route is not loaded")
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+
+    class FlipFirstPoint:
+        """The compiled loop, but bit 0 of the first point of a bulk call flips."""
+        horner1 = lib.horner1
+
+        @staticmethod
+        def horner(coeffs, k, xs, values, n, w, mask):
+            lib.horner(coeffs, k, xs, values, n, w, mask)
+            values[0] ^= 1
+
+    monkeypatch.setattr(_clmul, "_lib", FlipFirstPoint)
+    csv_path = tmp_path / "profile.csv"
+    assert main(["verify", out, write_set(tmp_path, [3, 17, 40, 58]), "-o", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"verify failed: stage 1: edge index \d+ evaluates to \d+ in the edge "
+                        r"scan but to \d+ on the numpy route\n", err), err
+    assert not csv_path.exists()
+    assert main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
+                 "--trials", "1", "--indep-k", "6"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0]["status"] == "KernelMismatch"
 
 
 def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):

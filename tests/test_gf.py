@@ -18,7 +18,7 @@ from bitprobe.gf import (
     poly_eval,
     poly_eval_block,
 )
-from bitprobe.gf import _CHUNK_POINTS
+from bitprobe.gf import _CHUNK_POINTS, _numpy_block
 
 from helpers import CounterRng, field_mul, naive_gf_mul, naive_poly_eval, sym_mul3
 
@@ -180,15 +180,19 @@ def test_scalar_fold_runs_twice_when_the_first_overflows():
     assert poly_eval(PolySeed((5, top), GF2_64), top) == want ^ 5
 
 
+# The compiled route, and the numpy route that is its fallback.
+BULK_ROUTES = (poly_eval_block, _numpy_block)
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_poly_eval_block_matches_scalar(field):
     rng = random.Random(17 + field.width_bits)
     coeffs = tuple(rng.randrange(field.order) for _ in range(5))
     seed = PolySeed(coeffs, field)
     xs = [rng.randrange(field.order) for _ in range(2 * _CHUNK_POINTS + 77)]  # three chunks
-    block = poly_eval_block(seed, np.array(xs, dtype=np.uint64))
-    for x, got in zip(xs, block):
-        assert int(got) == poly_eval(seed, x)
+    want = [poly_eval(seed, x) for x in xs]
+    for bulk in BULK_ROUTES:
+        assert bulk(seed, np.array(xs, dtype=np.uint64)).tolist() == want
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -209,10 +213,12 @@ def test_poly_eval_block_high_limb_in_one_chunk_only():
     xs = list(range(_CHUNK_POINTS - 1)) + edge + list(range(500))
     rng = random.Random(3)
     seed = PolySeed(tuple(rng.randrange(1 << 64) for _ in range(5)), GF2_64)
-    block = poly_eval_block(seed, np.array(xs, dtype=np.uint64))
-    assert [int(v) for v in block] == [poly_eval(seed, x) for x in xs]
-    for i, x in enumerate(xs[_CHUNK_POINTS - 2:_CHUNK_POINTS + 2], _CHUNK_POINTS - 2):
-        assert int(block[i]) == naive_poly_eval(seed.coeffs, x, 64, GF2_64.reduction_poly)
+    want = [poly_eval(seed, x) for x in xs]
+    for bulk in BULK_ROUTES:
+        block = bulk(seed, np.array(xs, dtype=np.uint64))
+        assert block.tolist() == want
+        for i, x in enumerate(xs[_CHUNK_POINTS - 2:_CHUNK_POINTS + 2], _CHUNK_POINTS - 2):
+            assert int(block[i]) == naive_poly_eval(seed.coeffs, x, 64, GF2_64.reduction_poly)
 
 
 def test_poly_eval_block_empty():
