@@ -8,9 +8,11 @@ is already there, and loads it with cffi in ABI mode, which needs no Python
 headers.  A build goes to a temporary file that ``os.replace`` publishes,
 so processes building at once each load a whole library.
 
-When cffi, gcc, a writable cache or the CPU's PCLMULQDQ is missing, or
-``BITPROBE_KERNEL=numpy`` is set, :func:`_lib` gives None and ``gf`` runs
-its numpy and pure-Python routes instead; those give the same values.
+Off x86-64, where the C file does not compile, nothing is built.  There,
+and wherever cffi, gcc, a writable cache or the CPU's PCLMULQDQ is missing,
+:func:`_lib` gives None and ``gf`` runs its numpy and pure-Python routes
+instead; those give the same values.  No setting picks the route: it
+depends only on what the machine has.
 """
 
 import functools
@@ -19,7 +21,6 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_clmul.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
-_SWITCH = "BITPROBE_KERNEL"
 _CDEF = """
 int has_pclmul(void);
 void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
@@ -65,10 +66,11 @@ def _shared_object() -> Path:
 @functools.cache
 def _lib():
     """The loaded library, or None when the compiled route cannot run here."""
-    if os.environ.get(_SWITCH) == "numpy":
-        return None
+    import platform
     import subprocess
 
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return None
     try:
         lib = _ffi().dlopen(str(_shared_object()))
     except (ImportError, OSError, subprocess.SubprocessError):

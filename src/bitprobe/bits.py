@@ -8,27 +8,24 @@ import numpy as np
 
 
 class Bitmap:
-    def __init__(self, nbits: int, buf: bytearray | None = None):
+    def __init__(self, nbits: int, buf=None):
+        """All zeros, or a copy of the bytes-like buf of ceil(nbits/8) bytes."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
         nbytes = (nbits + 7) >> 3
-        if buf is None:
-            buf = bytearray(nbytes)
-        elif len(buf) != nbytes:
+        if buf is not None and len(buf) != nbytes:
             raise ValueError(f"buffer length {len(buf)} != {nbytes} for {nbits} bits")
         self.nbits = nbits
-        self._buf = bytearray(buf)
+        self._buf = bytearray(nbytes if buf is None else buf)
 
     @classmethod
     def from_bytes(cls, nbits: int, data: bytes) -> "Bitmap":
-        return cls(nbits, bytearray(data))
+        return cls(nbits, data)
 
     @classmethod
     def from_bool_array(cls, arr) -> "Bitmap":
         arr = np.asarray(arr, dtype=bool)
-        bm = cls(len(arr))
-        bm._buf = bytearray(np.packbits(arr, bitorder="little").tobytes())
-        return bm
+        return cls(len(arr), np.packbits(arr, bitorder="little"))
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.nbits:
@@ -36,8 +33,8 @@ class Bitmap:
         return (self._buf[i >> 3] >> (i & 7)) & 1
 
     def as_bool_array(self) -> np.ndarray:
-        return np.unpackbits(np.frombuffer(bytes(self._buf), dtype=np.uint8),
-                             bitorder="little")[: self.nbits].astype(bool)
+        return np.unpackbits(np.frombuffer(self._buf, dtype=np.uint8), count=self.nbits,
+                             bitorder="little").view(bool)
 
     def to_bytes(self) -> bytes:
         return bytes(self._buf)

@@ -23,10 +23,9 @@ seed space.
 Evaluation has two routes with the same values.  The compiled one is the
 Horner loop of ``_clmul.c`` on the CPU's carry-less multiply, built on the
 first evaluation and cached (see ``_clmul``): ``poly_eval_block`` hands it
-a whole array, ``poly_eval`` one point.  Where it cannot run, or with
-``BITPROBE_KERNEL=numpy``, they fall back to a numpy bit-split Horner
-(``_numpy_block``) and a pure-Python one (``_horner``), which also serve as
-the compiled loop's independent references.
+a whole array, ``poly_eval`` one point.  Where the machine cannot run it,
+they fall back to a numpy bit-split Horner (``_numpy_block``) and a
+pure-Python one (``_horner``), which also serve as independent references.
 """
 
 from dataclasses import dataclass

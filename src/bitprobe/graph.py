@@ -110,11 +110,8 @@ def edge_targets(g: SeededGraph, vs) -> np.ndarray:
 
 def marked_neighbors(g: SeededGraph, A) -> np.ndarray:
     """Boolean indicator of Gamma(A) over [0, s)."""
-    p = g.params
-    flags = np.zeros(p.s, dtype=bool)
-    vs = np.asarray(sorted(A), dtype=np.int64)
-    if vs.size:
-        flags[edge_targets(g, vs).ravel()] = True
+    flags = np.zeros(g.params.s, dtype=bool)
+    flags[edge_targets(g, sorted(A)).ravel()] = True
     return flags
 
 

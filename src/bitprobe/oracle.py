@@ -4,7 +4,8 @@ Every error count here enumerates; nothing samples.  Budgets are hard
 limits and blowing one raises, because an oracle that silently falls back
 to sampling is not an oracle.  The one sample is a cross-check of the edge
 scan itself: the encoder and the oracle share one evaluation kernel, so a
-fault in it would otherwise certify itself.
+fault in it would otherwise certify itself, and the sample is recomputed
+on a route that the scan does not take.
 """
 
 import random
@@ -13,14 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import _numpy_block, poly_eval_block
+from . import _clmul
+from .gf import _horner, _numpy_block, poly_eval_block
 from .graph import SeededGraph
 from .reduction import slot_overlap_counts
 from .scheme import Scheme
 
 # error_profile default: at most 2^20 universe elements times the probe count.
 PROBE_BUDGET_ELEMENTS = 1 << 20
-# Edges per stage that error_profile re-derives on the numpy route.
+# Edges per stage that error_profile re-derives on a second route.
 EDGE_SAMPLES = 256
 
 
@@ -29,7 +31,7 @@ class BudgetExceeded(Exception):
 
 
 class KernelMismatch(Exception):
-    """The edge scan and the numpy route disagree on a sampled edge."""
+    """The edge scan and its reference route disagree on a sampled edge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +76,23 @@ class ErrorProfile:
 def _check_edge_sample(g: SeededGraph, stage: int) -> None:
     """Raise KernelMismatch unless ``EDGE_SAMPLES`` edge indices, drawn by
     an rng keyed by the seed, evaluate the same through ``poly_eval_block``
-    (the route of the edge scan) as through the numpy route.  Under the
-    numpy fallback both sides run that route."""
+    (the route of the edge scan) as through another: numpy under the
+    compiled loop, pure Python under the numpy fallback."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
-    scanned, reference = poly_eval_block(g.seed, edges), _numpy_block(g.seed, edges)
+    scanned = poly_eval_block(g.seed, edges)
+    if _clmul._lib() is None:
+        route, w = "pure-Python", g.seed.field.width_bits
+        reference = np.array([_horner(g.seed.coeffs, x, w) for x in edges.tolist()],
+                             dtype=np.uint64)
+    else:
+        route, reference = "numpy", _numpy_block(g.seed, edges)
     bad = np.flatnonzero(scanned != reference)
     if bad.size:
         i = bad[0]
         raise KernelMismatch(f"stage {stage}: edge index {edges[i]} evaluates to {scanned[i]} "
-                             f"in the edge scan but to {reference[i]} on the numpy route")
+                             f"in the edge scan but to {reference[i]} on the {route} route")
 
 
 def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:

@@ -13,6 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme
@@ -296,3 +297,16 @@ def verified_tiny_expanders(count, master_seed=2024, n_cap=TINY_K_MAX):
         if verify_expander(rows, TINY_K_MAX, TINY_DELTA):
             graphs.append(explicit_graph(rows, TINY_S, TINY_EPS, n_cap))
     return graphs
+
+
+def on_both_routes(argnames: str, cases):
+    """Parametrize a test over cases, each on the compiled and on the numpy
+    route (the ``route`` fixture of conftest.py).  A case keeps its plain
+    id on the compiled route and gains "-numpy" on the numpy route."""
+    params = []
+    for case in cases:
+        case = case if isinstance(case, tuple) else (case,)
+        case_id = "-".join(map(str, case))
+        params += [pytest.param(*case, "compiled", id=case_id),
+                   pytest.param(*case, "numpy", id=f"{case_id}-numpy")]
+    return pytest.mark.parametrize(f"{argnames},route", params, indirect=["route"])

@@ -4,17 +4,18 @@ import io
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitprobe import _clmul, cli, graph, scheme_one, storage
+from bitprobe import _clmul, cli, gf, graph, oracle, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
 from bitprobe.storage import section_layout
 
-from helpers import with_bitmaps
+from helpers import on_both_routes, with_bitmaps
 
 
 def write_set(tmp_path, elements, name="set.txt"):
@@ -236,8 +237,8 @@ GOLDEN_VERIFY = {
 }
 
 
-@pytest.mark.parametrize("kind", ["one", "two", "bmrv"])
-def test_verify_output_matches_golden(tmp_path, capsys, kind):
+@on_both_routes("kind", ["one", "two", "bmrv"])
+def test_verify_output_matches_golden(tmp_path, capsys, kind, route):
     out, _ = build(tmp_path, [3, 17, 40, 58], capsys, kind=kind, u=6,
                    extra=("--master-seed", "7"))
     set_file = write_set(tmp_path, [3, 17, 40, 58])
@@ -281,6 +282,28 @@ def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, cap
                  "--trials", "1", "--indep-k", "6"]) == 1
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert rows[0]["status"] == "KernelMismatch"
+
+
+def test_verify_fails_when_the_numpy_route_disagrees_with_pure_python(tmp_path, capsys,
+                                                                      monkeypatch):
+    # on the fallback the sample must not be checked against the route it checks
+    monkeypatch.setattr(_clmul, "_lib", lambda: None)
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+    numpy_block = gf._numpy_block
+
+    def flip_first_point(seed, xs):
+        values = numpy_block(seed, xs)
+        values[:1] ^= np.uint64(1)
+        return values
+
+    monkeypatch.setattr(gf, "_numpy_block", flip_first_point)
+    monkeypatch.setattr(oracle, "_numpy_block", flip_first_point)
+    csv_path = tmp_path / "profile.csv"
+    assert main(["verify", out, write_set(tmp_path, [3, 17, 40, 58]), "-o", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"verify failed: stage 1: edge index \d+ evaluates to \d+ in the edge "
+                        r"scan but to \d+ on the pure-Python route\n", err), err
+    assert not csv_path.exists()
 
 
 def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):
@@ -566,8 +589,8 @@ GOLDEN_QUERY = {
 }
 
 
-@pytest.mark.parametrize("kind", ["one", "two", "bmrv"])
-def test_query_output_matches_golden(tmp_path, capsys, kind):
+@on_both_routes("kind", ["one", "two", "bmrv"])
+def test_query_output_matches_golden(tmp_path, capsys, kind, route):
     out, _ = build(tmp_path, [3, 17, 40, 58], capsys, kind=kind, u=6,
                    extra=("--master-seed", "7"))
     cases = {key: text for key, text in GOLDEN_QUERY.items() if key[0] == kind}

@@ -2,6 +2,7 @@
 into the cache, and replaced by the fallback wherever it cannot run."""
 
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -21,21 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
 ALL_FIELDS = [GF2_3, GF2_8, GF2_16, GF2_32, GF2_64]
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
 
-# The golden checks of scheme bytes, `verify` output and `query` output, and
-# the switch check below: run a second time on the numpy route.
-GOLDEN_TESTS = [
-    "tests/test_storage.py::test_scheme_bytes_match_golden_digest",
-    "tests/test_cli.py::test_verify_output_matches_golden",
-    "tests/test_cli.py::test_query_output_matches_golden",
-    "tests/test_kernel.py::test_kernel_loads_unless_switched_off",
-]
-
 
 def child_env(**changes):
-    """This process's environment for a child: the package on its path, the
-    kernel switch off, then the given changes."""
+    """This process's environment for a child: the package on its path,
+    then the given changes."""
     env = dict(os.environ)
-    env.pop(_clmul._SWITCH, None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.update(changes)
     return env
@@ -51,9 +42,10 @@ def reload_kernel():
 
 
 @needs_gcc
-def test_kernel_loads_unless_switched_off():
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not x86-64")
+def test_kernel_loads_where_gcc_is_installed():
     # without this the suite could run only the fallback and pass
-    assert (_clmul._lib() is None) == (os.environ.get(_clmul._SWITCH) == "numpy")
+    assert _clmul._lib() is not None
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -89,12 +81,29 @@ def test_fallback_where_the_kernel_cannot_build(tmp_path, monkeypatch, reload_ke
     else:
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
-    monkeypatch.delenv(_clmul._SWITCH, raising=False)
     _clmul._lib.cache_clear()
     assert _clmul._lib() is None
     assert sample_values() == want
     if missing == "gcc":
         assert os.listdir(cache_home / "bitprobe") == []  # no temporary file left
+
+
+def test_nothing_is_built_off_x86_64(tmp_path, monkeypatch, reload_kernel):
+    want = sample_values()
+    gcc_calls = []
+    run = subprocess.run
+
+    def spy(argv, **options):
+        gcc_calls.append(argv)
+        return run(argv, **options)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache: loading needs a build
+    _clmul._lib.cache_clear()
+    assert _clmul._lib() is None
+    assert sample_values() == want
+    assert gcc_calls == []
 
 
 @needs_gcc
@@ -112,11 +121,3 @@ def test_two_processes_building_at_once_share_one_library(tmp_path):
     assert [out for out, _ in outputs] == [f"{want}\n"] * 2
     [library] = os.listdir(tmp_path / "bitprobe")
     assert library.startswith("clmul-") and library.endswith(".so")
-
-
-def test_golden_checks_pass_on_the_numpy_route():
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *GOLDEN_TESTS],
-        cwd=ROOT, env=child_env(**{_clmul._SWITCH: "numpy"}),
-        capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stdout + done.stderr

@@ -23,6 +23,8 @@ from bitprobe.storage import (
     section_layout,
 )
 
+from helpers import on_both_routes
+
 
 def one_probe():
     return scheme_one.encode([3, 77, 200], 8, Fraction(1, 2), indep_k=5,
@@ -208,8 +210,8 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind,indep_k", list(GOLDEN_SHA256))
-def test_scheme_bytes_match_golden_digest(kind, indep_k):
+@on_both_routes("kind,indep_k", list(GOLDEN_SHA256))
+def test_scheme_bytes_match_golden_digest(kind, indep_k, route):
     encode = {"one": scheme_one.encode, "two": scheme_two.encode,
               "bmrv": bmrv.encode}[kind]
     sch = encode([3, 17, 40, 58], 6, Fraction(1, 2), indep_k=indep_k, master_seed=7)
