@@ -11,8 +11,13 @@
  * points side by side: the multiplier then works on independent chains
  * instead of waiting out each product's latency.
  *
- * Built by _clmul.py with plain gcc -O2; only the functions marked with
- * the pclmul target use the instruction, so has_pclmul runs anywhere. */
+ * The module section at the end makes this file the CPython extension that
+ * _clmul.py builds with gcc -O2 against the interpreter's headers.  Only the
+ * functions marked with the pclmul target use the instruction, so
+ * has_pclmul runs anywhere. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <cpuid.h>
 #include <immintrin.h>
@@ -23,7 +28,7 @@
 #define PCLMUL __attribute__((target("pclmul")))
 #define KERNEL static inline __attribute__((always_inline, target("pclmul")))
 
-int has_pclmul(void)
+static int cpu_has_pclmul(void)
 {
     unsigned a, b, c, d;
     return __get_cpuid(1, &a, &b, &c, &d) && (c & bit_PCLMUL);
@@ -79,8 +84,8 @@ KERNEL void eval_all(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint6
 }
 
 /* out[i] = sum_j coeffs[j] * xs[i]^j over GF(2^w), for i < n; k >= 1. */
-PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
-                   size_t n, int w, uint64_t mask)
+static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
+                          size_t n, int w, uint64_t mask)
 {
     if (w == 64)
         eval_all(coeffs, k, xs, out, n, w, mask, 1);
@@ -89,7 +94,8 @@ PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_
 }
 
 /* The polynomial at the single point x. */
-PCLMUL uint64_t horner1(const uint64_t *coeffs, size_t k, uint64_t x, int w, uint64_t mask)
+static PCLMUL uint64_t horner1(const uint64_t *coeffs, size_t k, uint64_t x, int w,
+                               uint64_t mask)
 {
     uint64_t y;
     if (w == 64)
@@ -97,4 +103,139 @@ PCLMUL uint64_t horner1(const uint64_t *coeffs, size_t k, uint64_t x, int w, uin
     else
         eval(coeffs, k, &x, &y, w, mask, 1, 0);
     return y;
+}
+
+/* ------------------------------------------------------------------------
+ * The module.  Every entry point checks its arguments before the loop
+ * runs: a coefficient buffer of whole uint64 words, at least one; xs and
+ * out uint64 arrays of one length, out writable; x, w and mask in range.
+ * A bad argument raises and nothing is read or written.
+ * ------------------------------------------------------------------------ */
+
+/* A view of obj as 8-byte-aligned uint64 words.  An array (xs, out) must
+ * be one of uint64 items; the coefficients may be any buffer of whole
+ * words, such as the bytes that PolySeed caches, but at least one. */
+static int get_words(PyObject *obj, Py_buffer *view, int flags, int array, const char *name)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    const char *f = view->format ? view->format : "B";
+    if (*f == '@' || *f == '=' || *f == '<')
+        f++;
+    const char *fault = NULL;
+    if (array && (view->itemsize != 8 || (*f != 'Q' && *f != 'L') || f[1]))
+        fault = "must be a C-contiguous uint64 array";
+    else if (!array && (view->len == 0 || view->len % 8))
+        fault = "must hold a positive whole number of uint64 words";
+    else if (view->len && (uintptr_t)view->buf % 8)
+        fault = "is not 8-byte aligned";
+    if (fault) {
+        PyErr_Format(PyExc_ValueError, "%s %s", name, fault);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+static int check_count(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+/* A Python int in [0, 2^64) as uint64; otherwise an exception. */
+static int get_u64(PyObject *obj, uint64_t *value)
+{
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL)
+        return -1;
+    *value = PyLong_AsUnsignedLongLong(index);
+    Py_DECREF(index);
+    return *value == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int get_width(PyObject *obj, int *w)
+{
+    uint64_t value;
+    if (get_u64(obj, &value) < 0)
+        return -1;
+    if (value < 1 || value > 64) {
+        PyErr_Format(PyExc_ValueError, "field width %llu is not in [1, 64]",
+                     (unsigned long long)value);
+        return -1;
+    }
+    *w = (int)value;
+    return 0;
+}
+
+static PyObject *py_horner(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer coeffs, xs, out;
+    int w;
+    uint64_t mask;
+    if (check_count("horner", nargs, 5) < 0 || get_width(args[3], &w) < 0
+        || get_u64(args[4], &mask) < 0)
+        return NULL;
+    if (get_words(args[0], &coeffs, PyBUF_SIMPLE, 0, "coeffs") < 0)
+        return NULL;
+    if (get_words(args[1], &xs, PyBUF_SIMPLE, 1, "xs") < 0) {
+        PyBuffer_Release(&coeffs);
+        return NULL;
+    }
+    if (get_words(args[2], &out, PyBUF_WRITABLE, 1, "out") < 0) {
+        PyBuffer_Release(&xs);
+        PyBuffer_Release(&coeffs);
+        return NULL;
+    }
+    int same = xs.len == out.len;
+    if (same)
+        horner(coeffs.buf, (size_t)coeffs.len / 8, xs.buf, out.buf, (size_t)xs.len / 8, w, mask);
+    else
+        PyErr_Format(PyExc_ValueError, "xs has %zd points but out has room for %zd",
+                     xs.len / 8, out.len / 8);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&xs);
+    PyBuffer_Release(&coeffs);
+    if (!same)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_horner1(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer coeffs;
+    uint64_t x, mask;
+    int w;
+    if (check_count("horner1", nargs, 4) < 0 || get_u64(args[1], &x) < 0
+        || get_width(args[2], &w) < 0 || get_u64(args[3], &mask) < 0
+        || get_words(args[0], &coeffs, PyBUF_SIMPLE, 0, "coeffs") < 0)
+        return NULL;
+    uint64_t y = horner1(coeffs.buf, (size_t)coeffs.len / 8, x, w, mask);
+    PyBuffer_Release(&coeffs);
+    return PyLong_FromUnsignedLongLong(y);
+}
+
+static PyObject *py_has_pclmul(PyObject *module, PyObject *unused)
+{
+    return PyBool_FromLong(cpu_has_pclmul());
+}
+
+static PyMethodDef methods[] = {
+    {"horner", (PyCFunction)(void (*)(void))py_horner, METH_FASTCALL,
+     "horner(coeffs, xs, out, w, mask): out[i] = the polynomial at xs[i] over GF(2^w)."},
+    {"horner1", (PyCFunction)(void (*)(void))py_horner1, METH_FASTCALL,
+     "horner1(coeffs, x, w, mask): the polynomial at the single point x."},
+    {"has_pclmul", py_has_pclmul, METH_NOARGS, "Whether the CPU has PCLMULQDQ."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_clmul_ext", "The compiled Horner loop; see _clmul.py.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__clmul_ext(void)
+{
+    return PyModule_Create(&module);
 }

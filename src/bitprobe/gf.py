@@ -21,11 +21,13 @@ reproducible; a counter standing in for the stream enumerates the whole
 seed space.
 
 Evaluation has two routes with the same values.  The compiled one is the
-Horner loop of ``_clmul.c`` on the CPU's carry-less multiply, built on the
-first evaluation and cached (see ``_clmul``): ``poly_eval_block`` hands it
-a whole array, ``poly_eval`` one point.  Where the machine cannot run it,
-they fall back to a numpy bit-split Horner (``_numpy_block``) and a
-pure-Python one (``_horner``), which also serve as independent references.
+Horner loop of ``_clmul.c`` on the CPU's carry-less multiply, a CPython
+extension built on the first evaluation and cached (see ``_clmul``):
+``poly_eval_block`` hands it a whole array, ``poly_eval`` one point, each
+with the coefficient bytes, width and mask that the seed caches once.
+Where the machine cannot run it, they fall back to a numpy bit-split
+Horner (``_numpy_block``) and a pure-Python one (``_horner``), which also
+serve as independent references.
 """
 
 from dataclasses import dataclass
@@ -116,20 +118,23 @@ class PolySeed:
         return len(self.coeffs)
 
     @cached_property
-    def _words(self):
-        """The coefficients as the uint64 array the compiled loop reads,
-        made once per seed."""
-        return _clmul._ffi().new("uint64_t[]", self.coeffs)
+    def _kernel_args(self) -> tuple:
+        """(coefficient words as bytes, width, reduction mask): what the
+        compiled loop takes besides the points, made once per seed."""
+        words = np.array(self.coeffs, dtype=np.uint64).tobytes()
+        return words, self.field.width_bits, self.field.reduction_poly
 
 
 def poly_eval(seed: PolySeed, x: int) -> int:
     """Evaluate the seed polynomial at a single field element (Horner)."""
-    _check_element(x, seed.field, "x")
     lib = _clmul._lib()
     if lib is None:
+        _check_element(x, seed.field, "x")
         return _horner(seed.coeffs, x, seed.field.width_bits)
-    field = seed.field
-    return lib.horner1(seed._words, len(seed.coeffs), x, field.width_bits, field.reduction_poly)
+    words, w, mask = seed._kernel_args
+    if x < 0 or x >> w:  # _check_element, inline on the serving path
+        raise ValueError(f"x={x} does not fit in {w} bits")
+    return lib.horner1(words, x, w, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +215,8 @@ def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     if lib is None:
         return _numpy_block(seed, xs)
     out = np.empty_like(xs)
-    ffi, field = _clmul._ffi(), seed.field
-    lib.horner(seed._words, len(seed.coeffs), ffi.from_buffer("uint64_t[]", xs),
-               ffi.from_buffer("uint64_t[]", out, require_writable=True), xs.size,
-               field.width_bits, field.reduction_poly)
+    words, w, mask = seed._kernel_args
+    lib.horner(words, xs, out, w, mask)
     return out
 
 

@@ -1,11 +1,16 @@
 """The compiled Horner loop: equal to both fallback routes, built lazily
 into the cache, and replaced by the fallback wherever it cannot run."""
 
+import functools
+import hashlib
 import os
 import platform
+import random
 import shutil
 import subprocess
 import sys
+import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitprobe import _clmul, gf
+from bitprobe import _clmul, bmrv, gf, scheme_one, scheme_two
+from bitprobe.bits import Bitmap
 from bitprobe.gf import GF2_3, GF2_8, GF2_16, GF2_32, GF2_64, PolySeed, poly_eval, poly_eval_block
 
-from helpers import naive_poly_eval
+from helpers import naive_poly_eval, on_both_routes, with_bitmaps
 
 ROOT = Path(__file__).resolve().parents[1]
 ALL_FIELDS = [GF2_3, GF2_8, GF2_16, GF2_32, GF2_64]
-needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+KINDS = {"one": scheme_one, "two": scheme_two, "bmrv": bmrv}
+can_build = pytest.mark.skipif(
+    shutil.which("gcc") is None
+    or not Path(sysconfig.get_path("include"), "Python.h").is_file()
+    or platform.machine() not in ("x86_64", "AMD64"),
+    reason="gcc, the Python headers or x86-64 is missing")
 
 
 def child_env(**changes):
@@ -41,8 +52,7 @@ def reload_kernel():
     _clmul._lib.cache_clear()
 
 
-@needs_gcc
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not x86-64")
+@can_build
 def test_kernel_loads_where_gcc_is_installed():
     # without this the suite could run only the fallback and pass
     assert _clmul._lib() is not None
@@ -72,20 +82,35 @@ def sample_values():
             [poly_eval(seed, x) for x in xs])
 
 
-@pytest.mark.parametrize("missing", ["cache directory", "gcc"])
+@pytest.mark.parametrize("missing", ["cache directory", "gcc", "Python headers"])
 def test_fallback_where_the_kernel_cannot_build(tmp_path, monkeypatch, reload_kernel, missing):
     want = sample_values()
     cache_home = tmp_path / "cache"
     if missing == "cache directory":
         cache_home.write_text("")  # a file where the cache directory would go
-    else:
+    elif missing == "gcc":
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    else:
+        get_path = sysconfig.get_path
+        monkeypatch.setattr(sysconfig, "get_path", lambda name, *rest, **options: (
+            str(tmp_path) if name == "include" else get_path(name, *rest, **options)))
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
     _clmul._lib.cache_clear()
     assert _clmul._lib() is None
     assert sample_values() == want
-    if missing == "gcc":
+    if missing != "cache directory":
         assert os.listdir(cache_home / "bitprobe") == []  # no temporary file left
+
+
+def test_cached_library_is_keyed_by_the_interpreter_abi(monkeypatch):
+    here = _clmul._cached_path()
+    get_config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        ".cpython-399-x86_64-linux-gnu.so" if name == "EXT_SUFFIX" else get_config_var(name)))
+    there = _clmul._cached_path()
+    assert there.parent == here.parent
+    # the hash moves, not only the suffix
+    assert there.name.split(".")[0] != here.name.split(".")[0]
 
 
 def test_nothing_is_built_off_x86_64(tmp_path, monkeypatch, reload_kernel):
@@ -106,11 +131,14 @@ def test_nothing_is_built_off_x86_64(tmp_path, monkeypatch, reload_kernel):
     assert gcc_calls == []
 
 
-@needs_gcc
+@can_build
 def test_two_processes_building_at_once_share_one_library(tmp_path):
-    script = ("from bitprobe import _clmul, gf\n"
+    # each child also shows that the compiled route imports no ffi package
+    script = ("import sys\n"
+              "from bitprobe import _clmul, gf\n"
               "assert _clmul._lib() is not None\n"
-              "print(gf.poly_eval(gf.PolySeed((3, 5, 1 << 63), gf.GF2_64), 11))\n")
+              "print(gf.poly_eval(gf.PolySeed((3, 5, 1 << 63), gf.GF2_64), 11),\n"
+              "      sorted({'cffi', 'pycparser'} & set(sys.modules)))\n")
     env = child_env(XDG_CACHE_HOME=str(tmp_path))
     children = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -118,6 +146,108 @@ def test_two_processes_building_at_once_share_one_library(tmp_path):
     outputs = [child.communicate(timeout=120) for child in children]
     assert [child.returncode for child in children] == [0, 0], outputs
     want = naive_poly_eval((3, 5, 1 << 63), 11, 64, GF2_64.reduction_poly)
-    assert [out for out, _ in outputs] == [f"{want}\n"] * 2
+    assert [out for out, _ in outputs] == [f"{want} []\n"] * 2
     [library] = os.listdir(tmp_path / "bitprobe")
-    assert library.startswith("clmul-") and library.endswith(".so")
+    assert library.startswith("clmul-")
+    assert library.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+def compiled_lib():
+    lib = _clmul._lib()
+    if lib is None:
+        pytest.skip("the compiled route is not loaded")
+    return lib
+
+
+WORDS = np.arange(1, 7, dtype=np.uint64).tobytes()  # six coefficients
+GF64 = (64, GF2_64.reduction_poly)
+BAD_CALLS = {
+    "empty coefficients": lambda lib, xs, out: lib.horner(b"", xs, out, *GF64),
+    "empty coefficients, one point": lambda lib, xs, out: lib.horner1(b"", 5, *GF64),
+    "coefficients of 12 bytes": lambda lib, xs, out: lib.horner(WORDS[:12], xs, out, *GF64),
+    "coefficients of 12 bytes, one point": lambda lib, xs, out: lib.horner1(WORDS[:12], 5, *GF64),
+    "xs longer than out": lambda lib, xs, out: lib.horner(WORDS, np.append(xs, xs), out, *GF64),
+    "out longer than xs": lambda lib, xs, out: lib.horner(WORDS, xs[:7], out, *GF64),
+    "read-only out": lambda lib, xs, out: lib.horner(WORDS, xs, read_only(out), *GF64),
+    "int64 xs": lambda lib, xs, out: lib.horner(WORDS, xs.astype(np.int64), out, *GF64),
+    "strided xs": lambda lib, xs, out: lib.horner(WORDS, np.repeat(xs, 2)[::2], out, *GF64),
+    "negative x": lambda lib, xs, out: lib.horner1(WORDS, -1, *GF64),
+    "x of 2^64": lambda lib, xs, out: lib.horner1(WORDS, 1 << 64, *GF64),
+    "width 65": lambda lib, xs, out: lib.horner(WORDS, xs, out, 65, GF64[1]),
+    "width 0, one point": lambda lib, xs, out: lib.horner1(WORDS, 5, 0, GF64[1]),
+}
+
+
+def read_only(array):
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("case", list(BAD_CALLS))
+def test_compiled_entry_points_reject_bad_arguments(case):
+    lib = compiled_lib()
+    xs, out = np.arange(8, dtype=np.uint64), np.full(8, 7, dtype=np.uint64)
+    with pytest.raises((ValueError, OverflowError)):
+        BAD_CALLS[case](lib, xs, out)
+    assert out.tolist() == [7] * 8  # nothing written
+
+
+@on_both_routes("x", [-1, 1 << 64])
+def test_point_outside_the_field_raises_the_same_error(x, route):
+    with pytest.raises(ValueError, match=f"^x={x} does not fit in 64 bits$"):
+        poly_eval(PolySeed((3, 5), GF2_64), x)
+
+
+@functools.cache
+def u14_scheme(kind, indep_k):
+    """A u=14, n=8, eps=1/2 scheme as query-k6 serves them; the bytes are
+    the same on either route, so it is built once."""
+    members = sorted(random.Random(14).sample(range(1 << 14), 8))
+    return members, KINDS[kind].encode(members, 14, Fraction(1, 2), indep_k=indep_k)
+
+
+class LoggedBitmap(Bitmap):
+    """A stage bitmap that feeds the position of every read to a digest."""
+
+    def __init__(self, bitmap, digest):
+        super().__init__(bitmap.nbits, bitmap.to_bytes())
+        self.digest = digest
+
+    def get(self, i):
+        self.digest.update(b"%d," % i)
+        return super().get(i)
+
+
+def query_stream_digest(kind, indep_k):
+    """sha256 of 2,000 library queries (members and random elements in
+    turn) from one fixed rng: the bit positions each reads and its answer,
+    then the rng's state."""
+    members, sch = u14_scheme(kind, indep_k)
+    digest = hashlib.sha256()
+    sch = with_bitmaps(sch, *(LoggedBitmap(st.bitmap, digest) for st in sch.stages))
+    rng, elements = random.Random(2024), random.Random(7)
+    for i in range(2000):
+        x = members[i % 8] if i % 2 else elements.randrange(1 << 14)
+        digest.update(b"1;" if KINDS[kind].query(sch, x, rng) else b"0;")
+    digest.update(repr(rng.getstate()).encode())
+    return digest.hexdigest()
+
+
+# Recorded on the cffi-loaded loop: a faster query path must draw the same
+# probe indices from the rng and read the same bits.  `one` and `bmrv` agree
+# here: both accept the same first seed, and at this sizing bmrv's labeling
+# is the neighborhood bitmap.
+GOLDEN_QUERY_STREAM = {
+    ("one", 6): "405c7560068ab809b92483aa4c70020ab5b7f8d96dd3f83516eb8874b1e8764b",
+    ("one", None): "2cc1b381f8d05aea07f0201f34e685ea69fbcc31ec00162a93cb3c24ae9225c0",
+    ("two", 6): "abf962d65a5578214f3db1d3c1adb3347877a638866c237e68270ebb514b4016",
+    ("two", None): "835a0a45d6899d653867a11a547f95ffead9d992a0f46b9df9cc1333ff488ff4",
+    ("bmrv", 6): "405c7560068ab809b92483aa4c70020ab5b7f8d96dd3f83516eb8874b1e8764b",
+    ("bmrv", None): "2cc1b381f8d05aea07f0201f34e685ea69fbcc31ec00162a93cb3c24ae9225c0",
+}
+
+
+@on_both_routes("kind,indep_k", list(GOLDEN_QUERY_STREAM))
+def test_query_stream_matches_golden(kind, indep_k, route):
+    assert query_stream_digest(kind, indep_k) == GOLDEN_QUERY_STREAM[kind, indep_k]
