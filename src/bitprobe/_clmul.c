@@ -9,12 +9,13 @@
  *
  * A product depends on the one before it, so the bulk loop runs LANES
  * points side by side: the multiplier then works on independent chains
- * instead of waiting out each product's latency.
+ * instead of waiting out each product's latency.  horner is the one place
+ * that branches on the width; a single point runs through it with n = 1.
  *
  * The module section at the end makes this file the CPython extension that
  * _clmul.py builds with gcc -O2 against the interpreter's headers.  Only the
- * functions marked with the pclmul target use the instruction, so
- * has_pclmul runs anywhere. */
+ * functions marked with the pclmul target use the instruction, so the init
+ * runs anywhere: it raises ImportError on a CPU without PCLMULQDQ. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -91,18 +92,6 @@ static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, 
         eval_all(coeffs, k, xs, out, n, w, mask, 1);
     else
         eval_all(coeffs, k, xs, out, n, w, mask, 0);
-}
-
-/* The polynomial at the single point x. */
-static PCLMUL uint64_t horner1(const uint64_t *coeffs, size_t k, uint64_t x, int w,
-                               uint64_t mask)
-{
-    uint64_t y;
-    if (w == 64)
-        eval(coeffs, k, &x, &y, w, mask, 1, 1);
-    else
-        eval(coeffs, k, &x, &y, w, mask, 1, 0);
-    return y;
 }
 
 /* ------------------------------------------------------------------------
@@ -212,14 +201,10 @@ static PyObject *py_horner1(PyObject *module, PyObject *const *args, Py_ssize_t 
         || get_width(args[2], &w) < 0 || get_u64(args[3], &mask) < 0
         || get_words(args[0], &coeffs, PyBUF_SIMPLE, 0, "coeffs") < 0)
         return NULL;
-    uint64_t y = horner1(coeffs.buf, (size_t)coeffs.len / 8, x, w, mask);
+    uint64_t y;
+    horner(coeffs.buf, (size_t)coeffs.len / 8, &x, &y, 1, w, mask);
     PyBuffer_Release(&coeffs);
     return PyLong_FromUnsignedLongLong(y);
-}
-
-static PyObject *py_has_pclmul(PyObject *module, PyObject *unused)
-{
-    return PyBool_FromLong(cpu_has_pclmul());
 }
 
 static PyMethodDef methods[] = {
@@ -227,7 +212,6 @@ static PyMethodDef methods[] = {
      "horner(coeffs, xs, out, w, mask): out[i] = the polynomial at xs[i] over GF(2^w)."},
     {"horner1", (PyCFunction)(void (*)(void))py_horner1, METH_FASTCALL,
      "horner1(coeffs, x, w, mask): the polynomial at the single point x."},
-    {"has_pclmul", py_has_pclmul, METH_NOARGS, "Whether the CPU has PCLMULQDQ."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -237,5 +221,9 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__clmul_ext(void)
 {
+    if (!cpu_has_pclmul()) {
+        PyErr_SetString(PyExc_ImportError, "the CPU has no PCLMULQDQ");
+        return NULL;
+    }
     return PyModule_Create(&module);
 }

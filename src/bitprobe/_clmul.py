@@ -12,10 +12,10 @@ A build goes to a temporary file that ``os.replace`` publishes, so
 processes building at once each load a whole library.
 
 Off x86-64, where the C file does not compile, nothing is built.  There,
-and wherever gcc, the Python headers, a writable cache or the CPU's
-PCLMULQDQ is missing, :func:`_lib` gives None and ``gf`` runs its numpy and
-pure-Python routes instead; those give the same values.  No setting picks
-the route: it depends only on what the machine has.
+and wherever gcc, the Python headers or a writable cache is missing, or
+the CPU lacks PCLMULQDQ (the module's init raises ImportError), :func:`_lib`
+gives None.  ``gf`` alone calls it, and picks the route by its answer:
+no setting does, so the route depends only on what the machine has.
 """
 
 import functools
@@ -44,13 +44,14 @@ def _cached_path() -> Path:
 
 
 def _shared_object() -> Path:
-    """The compiled library's path, building it first when it is not cached."""
-    import subprocess
-    import tempfile
-
+    """The compiled library's path, building it first when it is not cached.
+    A build that cannot run, fails or times out raises OSError."""
     path = _cached_path()
     if path.is_file():
         return path
+    import subprocess
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix="clmul-", suffix=".tmp", dir=path.parent)
     os.close(fd)
@@ -58,6 +59,8 @@ def _shared_object() -> Path:
         subprocess.run(["gcc", *_flags(), "-o", tmp, str(_SOURCE)],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
+    except subprocess.SubprocessError as e:
+        raise OSError(f"building {_SOURCE.name} failed: {e}") from e
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -70,15 +73,12 @@ def _lib():
     run here."""
     import importlib.util
     import platform
-    import subprocess
     from importlib.machinery import ExtensionFileLoader
 
     if platform.machine() not in ("x86_64", "AMD64"):
         return None
     try:
         loader = ExtensionFileLoader(_MODULE, str(_shared_object()))
-        lib = importlib.util.module_from_spec(
-            importlib.util.spec_from_loader(_MODULE, loader))
-    except (ImportError, OSError, subprocess.SubprocessError):
+        return importlib.util.module_from_spec(importlib.util.spec_from_loader(_MODULE, loader))
+    except (ImportError, OSError):
         return None
-    return lib if lib.has_pclmul() else None

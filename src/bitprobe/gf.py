@@ -20,14 +20,16 @@ drawn from a deterministic bit stream so that encoding runs are
 reproducible; a counter standing in for the stream enumerates the whole
 seed space.
 
-Evaluation has two routes with the same values.  The compiled one is the
-Horner loop of ``_clmul.c`` on the CPU's carry-less multiply, a CPython
-extension built on the first evaluation and cached (see ``_clmul``):
-``poly_eval_block`` hands it a whole array, ``poly_eval`` one point, each
-with the coefficient bytes, width and mask that the seed caches once.
-Where the machine cannot run it, they fall back to a numpy bit-split
-Horner (``_numpy_block``) and a pure-Python one (``_horner``), which also
-serve as independent references.
+Evaluation has two routes with the same values, and this module alone
+picks between them.  The compiled one is the Horner loop of ``_clmul.c``
+on the CPU's carry-less multiply, a CPython extension built on the first
+evaluation and cached (see ``_clmul``): ``poly_eval_block`` hands it a
+whole array, ``poly_eval`` one point, each with the coefficient bytes,
+width and mask that the seed caches once.  Where the machine cannot run
+it, they fall back to a numpy bit-split Horner (``_numpy_block``) and a
+pure-Python one (``_horner``).  ``reference_block`` evaluates on the route
+that ``poly_eval_block`` does not take, so that the oracle can check it.
+Every route rejects a point outside the field before it evaluates.
 """
 
 from dataclasses import dataclass
@@ -64,10 +66,6 @@ class FieldSpec:
         return 1 << self.width_bits
 
 
-GF2_3 = FieldSpec(3)
-GF2_8 = FieldSpec(8)
-GF2_16 = FieldSpec(16)
-GF2_32 = FieldSpec(32)
 GF2_64 = FieldSpec(64)
 
 
@@ -127,13 +125,12 @@ class PolySeed:
 
 def poly_eval(seed: PolySeed, x: int) -> int:
     """Evaluate the seed polynomial at a single field element (Horner)."""
-    lib = _clmul._lib()
-    if lib is None:
-        _check_element(x, seed.field, "x")
-        return _horner(seed.coeffs, x, seed.field.width_bits)
     words, w, mask = seed._kernel_args
     if x < 0 or x >> w:  # _check_element, inline on the serving path
         raise ValueError(f"x={x} does not fit in {w} bits")
+    lib = _clmul._lib()
+    if lib is None:
+        return _horner(seed.coeffs, x, w)
     return lib.horner1(words, x, w, mask)
 
 
@@ -208,9 +205,18 @@ def _mul_point(acc, x_quarters, field: FieldSpec, bits):
     return lo
 
 
+def _field_points(seed: PolySeed, xs) -> np.ndarray:
+    """xs as a contiguous uint64 array of points in the seed's field."""
+    xs = np.ascontiguousarray(xs, dtype=np.uint64)
+    w = seed.field.width_bits
+    if w < 64 and xs.size and (top := int(xs.max())) >> w:
+        raise ValueError(f"x={top} does not fit in {w} bits")
+    return xs
+
+
 def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     """Evaluate the seed polynomial at every point of a uint64 array."""
-    xs = np.ascontiguousarray(xs, dtype=np.uint64)
+    xs = _field_points(seed, xs)
     lib = _clmul._lib()
     if lib is None:
         return _numpy_block(seed, xs)
@@ -218,6 +224,18 @@ def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     words, w, mask = seed._kernel_args
     lib.horner(words, xs, out, w, mask)
     return out
+
+
+def reference_block(seed: PolySeed, xs) -> tuple:
+    """(route name, values): poly_eval_block evaluated on the route that it
+    does not take here, numpy under the compiled loop and pure Python under
+    the numpy fallback."""
+    xs = _field_points(seed, xs)
+    if _clmul._lib() is not None:
+        return "numpy", _numpy_block(seed, xs)
+    w = seed.field.width_bits
+    values = [_horner(seed.coeffs, x, w) for x in xs.ravel().tolist()]
+    return "pure-Python", np.array(values, dtype=np.uint64).reshape(xs.shape)
 
 
 def _numpy_block(seed: PolySeed, xs: np.ndarray) -> np.ndarray:

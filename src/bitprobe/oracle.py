@@ -5,7 +5,7 @@ limits and blowing one raises, because an oracle that silently falls back
 to sampling is not an oracle.  The one sample is a cross-check of the edge
 scan itself: the encoder and the oracle share one evaluation kernel, so a
 fault in it would otherwise certify itself, and the sample is recomputed
-on a route that the scan does not take.
+by ``gf.reference_block`` on a route that the scan does not take.
 """
 
 import random
@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _clmul
-from .gf import _horner, _numpy_block, poly_eval_block
+from .gf import poly_eval_block, reference_block
 from .graph import SeededGraph
 from .reduction import slot_overlap_counts
 from .scheme import Scheme
@@ -76,18 +75,13 @@ class ErrorProfile:
 def _check_edge_sample(g: SeededGraph, stage: int) -> None:
     """Raise KernelMismatch unless ``EDGE_SAMPLES`` edge indices, drawn by
     an rng keyed by the seed, evaluate the same through ``poly_eval_block``
-    (the route of the edge scan) as through another: numpy under the
-    compiled loop, pure Python under the numpy fallback."""
+    (the route of the edge scan) as through ``reference_block`` (a route
+    the scan does not take)."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
     scanned = poly_eval_block(g.seed, edges)
-    if _clmul._lib() is None:
-        route, w = "pure-Python", g.seed.field.width_bits
-        reference = np.array([_horner(g.seed.coeffs, x, w) for x in edges.tolist()],
-                             dtype=np.uint64)
-    else:
-        route, reference = "numpy", _numpy_block(g.seed, edges)
+    route, reference = reference_block(g.seed, edges)
     bad = np.flatnonzero(scanned != reference)
     if bad.size:
         i = bad[0]

@@ -55,10 +55,6 @@ class Scheme:
         return self.stages[0].graph.params
 
     @property
-    def eps(self) -> Fraction:
-        return self.params.eps
-
-    @property
     def bitmap_bits(self) -> int:
         return sum(st.bitmap.nbits for st in self.stages)
 

@@ -17,10 +17,16 @@ import pytest
 
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme
-from bitprobe.gf import GF2_16, GF2_64, FieldSpec, PolySeed, draw_seed, poly_eval
+from bitprobe.gf import GF2_64, FieldSpec, PolySeed, draw_seed, poly_eval
 from bitprobe.graph import GraphParams, SeededGraph, edge_targets
 from bitprobe.oracle import BudgetExceeded
 from bitprobe.scheme import Stage
+
+# The smaller fields, which only the tests use; the library's default is GF2_64.
+GF2_3 = FieldSpec(3)
+GF2_8 = FieldSpec(8)
+GF2_16 = FieldSpec(16)
+GF2_32 = FieldSpec(32)
 
 # verify_expander default: total subsets enumerated.
 DEFAULT_SUBSET_BUDGET = 200_000

@@ -18,7 +18,7 @@ import pytest
 from bitprobe import bmrv, scheme_one, scheme_two, storage
 from bitprobe.bmrv import default_max_iters, greedy_label
 from bitprobe.cli import main
-from bitprobe.gf import GF2_3, default_indep_k, draw_seed
+from bitprobe.gf import default_indep_k, draw_seed
 from bitprobe.graph import SeededGraph, derive_params, neighbor
 from bitprobe.oracle import error_profile
 from bitprobe.reduction import (
@@ -28,6 +28,7 @@ from bitprobe.reduction import (
 from bitprobe.storage import section_layout
 
 from helpers import (
+    GF2_3,
     TINY_EPS,
     TINY_K_MAX,
     CountingBitmap,

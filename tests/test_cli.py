@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitprobe import _clmul, cli, gf, graph, oracle, scheme_one, storage
+from bitprobe import _clmul, cli, gf, graph, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
@@ -297,7 +297,6 @@ def test_verify_fails_when_the_numpy_route_disagrees_with_pure_python(tmp_path, 
         return values
 
     monkeypatch.setattr(gf, "_numpy_block", flip_first_point)
-    monkeypatch.setattr(oracle, "_numpy_block", flip_first_point)
     csv_path = tmp_path / "profile.csv"
     assert main(["verify", out, write_set(tmp_path, [3, 17, 40, 58]), "-o", str(csv_path)]) == 1
     err = capsys.readouterr().err

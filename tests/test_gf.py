@@ -2,14 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitprobe.gf import (
-    GF2_3,
-    GF2_8,
-    GF2_16,
-    GF2_32,
     GF2_64,
     FieldSpec,
     PolySeed,
@@ -17,10 +13,22 @@ from bitprobe.gf import (
     draw_seed,
     poly_eval,
     poly_eval_block,
+    reference_block,
 )
 from bitprobe.gf import _CHUNK_POINTS, _numpy_block
 
-from helpers import CounterRng, field_mul, naive_gf_mul, naive_poly_eval, sym_mul3
+from helpers import (
+    GF2_3,
+    GF2_8,
+    GF2_16,
+    GF2_32,
+    CounterRng,
+    field_mul,
+    naive_gf_mul,
+    naive_poly_eval,
+    on_both_routes,
+    sym_mul3,
+)
 
 ALL_FIELDS = [GF2_3, GF2_8, GF2_16, GF2_32, GF2_64]
 WIDE_FIELDS = [GF2_8, GF2_16, GF2_32, GF2_64]
@@ -219,6 +227,31 @@ def test_poly_eval_block_high_limb_in_one_chunk_only():
         assert block.tolist() == want
         for i, x in enumerate(xs[_CHUNK_POINTS - 2:_CHUNK_POINTS + 2], _CHUNK_POINTS - 2):
             assert int(block[i]) == naive_poly_eval(seed.coeffs, x, 64, GF2_64.reduction_poly)
+
+
+@on_both_routes("w", [3, 8, 16, 32, 64])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_points_outside_the_field_raise_on_every_route(w, route, data):
+    field = FieldSpec(w)
+    element = st.integers(0, field.order - 1)
+    seed = PolySeed(tuple(data.draw(st.lists(element, min_size=1, max_size=4))), field)
+    xs = data.draw(st.lists(element | st.integers(0, (1 << 64) - 1), max_size=9))
+    points = np.array(xs, dtype=np.uint64)
+    outside = [x for x in xs if x >> w]
+    if not outside:
+        want = [poly_eval(seed, x) for x in xs]
+        assert poly_eval_block(seed, points).tolist() == want
+        assert reference_block(seed, points)[1].tolist() == want
+        return
+    # each route names the largest point, as poly_eval names its one point
+    message = f"^x={max(outside)} does not fit in {w} bits$"
+    for evaluate in (poly_eval_block, reference_block):
+        with pytest.raises(ValueError, match=message):
+            evaluate(seed, points)
+    with pytest.raises(ValueError, match=message):
+        poly_eval(seed, max(outside))
 
 
 def test_poly_eval_block_empty():

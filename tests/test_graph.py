@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitprobe.gf import GF2_3, GF2_16, GF2_32, GF2_64, PolySeed, poly_eval
+from bitprobe.gf import GF2_64, PolySeed, poly_eval
 from bitprobe.graph import (
     GraphParams,
     SeededGraph,
@@ -17,7 +17,15 @@ from bitprobe.graph import (
     neighborhood_bitmap,
 )
 
-from helpers import edge_table, explicit_graph, naive_poly_eval, toy_params
+from helpers import (
+    GF2_3,
+    GF2_16,
+    GF2_32,
+    edge_table,
+    explicit_graph,
+    naive_poly_eval,
+    toy_params,
+)
 
 
 @pytest.mark.parametrize("u,n,eps,want_d,want_s", [

@@ -3,6 +3,7 @@ into the cache, and replaced by the fallback wherever it cannot run."""
 
 import functools
 import hashlib
+import importlib.util
 import os
 import platform
 import random
@@ -20,9 +21,9 @@ from hypothesis import strategies as st
 
 from bitprobe import _clmul, bmrv, gf, scheme_one, scheme_two
 from bitprobe.bits import Bitmap
-from bitprobe.gf import GF2_3, GF2_8, GF2_16, GF2_32, GF2_64, PolySeed, poly_eval, poly_eval_block
+from bitprobe.gf import GF2_64, PolySeed, poly_eval, poly_eval_block
 
-from helpers import naive_poly_eval, on_both_routes, with_bitmaps
+from helpers import GF2_3, GF2_8, GF2_16, GF2_32, naive_poly_eval, on_both_routes, with_bitmaps
 
 ROOT = Path(__file__).resolve().parents[1]
 ALL_FIELDS = [GF2_3, GF2_8, GF2_16, GF2_32, GF2_64]
@@ -102,6 +103,32 @@ def test_fallback_where_the_kernel_cannot_build(tmp_path, monkeypatch, reload_ke
         assert os.listdir(cache_home / "bitprobe") == []  # no temporary file left
 
 
+@pytest.mark.parametrize("fault", [subprocess.CalledProcessError(1, "gcc"),
+                                   subprocess.TimeoutExpired("gcc", 120)], ids=["fails", "times out"])
+def test_a_build_that_fails_raises_os_error(tmp_path, monkeypatch, fault):
+    def run(argv, **options):
+        raise fault
+
+    monkeypatch.setattr(subprocess, "run", run)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.raises(OSError, match="^building _clmul.c failed: "):
+        _clmul._shared_object()
+    assert os.listdir(tmp_path / "bitprobe") == []  # no temporary file left
+
+
+def test_fallback_where_the_module_init_raises(monkeypatch, reload_kernel):
+    # as it does on a CPU without PCLMULQDQ
+    want = sample_values()
+
+    def no_pclmul(spec):
+        raise ImportError("the CPU has no PCLMULQDQ")
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", no_pclmul)
+    _clmul._lib.cache_clear()
+    assert _clmul._lib() is None
+    assert sample_values() == want
+
+
 def test_cached_library_is_keyed_by_the_interpreter_abi(monkeypatch):
     here = _clmul._cached_path()
     get_config_var = sysconfig.get_config_var
@@ -133,20 +160,27 @@ def test_nothing_is_built_off_x86_64(tmp_path, monkeypatch, reload_kernel):
 
 @can_build
 def test_two_processes_building_at_once_share_one_library(tmp_path):
-    # each child also shows that the compiled route imports no ffi package
+    # each child also shows that the compiled route imports no ffi package,
+    # and a third, loading from the cache, that a cached load runs no build
     script = ("import sys\n"
               "from bitprobe import _clmul, gf\n"
               "assert _clmul._lib() is not None\n"
               "print(gf.poly_eval(gf.PolySeed((3, 5, 1 << 63), gf.GF2_64), 11),\n"
-              "      sorted({'cffi', 'pycparser'} & set(sys.modules)))\n")
+              "      sorted({'cffi', 'pycparser'} & set(sys.modules)),\n"
+              "      'subprocess' in sys.modules)\n")
     env = child_env(XDG_CACHE_HOME=str(tmp_path))
-    children = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-                for _ in range(2)]
+
+    def start():
+        return subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    children = [start() for _ in range(2)]
     outputs = [child.communicate(timeout=120) for child in children]
     assert [child.returncode for child in children] == [0, 0], outputs
     want = naive_poly_eval((3, 5, 1 << 63), 11, 64, GF2_64.reduction_poly)
-    assert [out for out, _ in outputs] == [f"{want} []\n"] * 2
+    assert [out.rpartition(" ")[0] for out, _ in outputs] == [f"{want} []"] * 2
+    cached = start()
+    assert cached.communicate(timeout=120) == (f"{want} [] False\n", "")
     [library] = os.listdir(tmp_path / "bitprobe")
     assert library.startswith("clmul-")
     assert library.endswith(sysconfig.get_config_var("EXT_SUFFIX"))

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from bitprobe import scheme_one, scheme_two
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme, greedy_label
-from bitprobe.gf import GF2_3, GF2_8
 from bitprobe.oracle import BudgetExceeded, error_profile
 from bitprobe.scheme import exact_error
 from bitprobe.scheme_one import OneProbeScheme
 from bitprobe.scheme_two import TwoProbeScheme
 
 from helpers import (
+    GF2_3,
+    GF2_8,
     TINY_DELTA,
     TINY_EPS,
     TINY_K_MAX,
@@ -146,9 +147,9 @@ def test_profile_equals_the_scalar_exact_error(case):
     assert prof.max_nonmember_error == max(nonmember, default=0)
     assert prof.false_negative_count == sum(e > 0 for e in member)
     if sch.TWO_SIDED:
-        want = all(e <= sch.eps for e in errors.values())
+        want = all(e <= sch.params.eps for e in errors.values())
     else:
-        want = all(e == 0 for e in member) and all(e < sch.eps for e in nonmember)
+        want = all(e == 0 for e in member) and all(e < sch.params.eps for e in nonmember)
     assert prof.holds == want
 
 

@@ -43,7 +43,7 @@ def test_nonmembers_error_below_eps_exhaustively():
         if x in members:
             continue
         rate = exact_error(sch, x)
-        assert rate < sch.eps
+        assert rate < sch.params.eps
         # cross-check by enumerating every probe index
         hits = sum(query(sch, x, FixedProbes(i)) for i in range(d))
         assert rate == Fraction(hits, d)
@@ -62,7 +62,7 @@ def test_accepted_seed_passes_strong_reduction():
     from bitprobe.reduction import check_strong_reduction
 
     A, sch = small_scheme(master_seed=3)
-    assert check_strong_reduction(sch.graph, A, sch.eps).holds
+    assert check_strong_reduction(sch.graph, A, sch.params.eps).holds
 
 
 def test_retries_exhausted_on_impossible_params():

@@ -62,12 +62,12 @@ def test_empty_set_encodes_trivially():
 def test_w_bound_and_bitmaps_exact():
     sch = w_scheme()
     assert 0 < sch.w_size <= len(W_SET) // 2
-    w = check_strong_reduction(sch.g1, W_SET, sch.eps).violating
+    w = check_strong_reduction(sch.g1, W_SET, sch.params.eps).violating
     assert len(w) == sch.w_size
     assert sch.stages[0].bitmap == neighborhood_bitmap(sch.g1, W_SET)
     assert sch.stages[1].bitmap == neighborhood_bitmap(sch.g2, W_SET)
     # stage 2 verified the restricted property on W only
-    report = check_strong_reduction(sch.g2, W_SET, sch.eps, scope=w)
+    report = check_strong_reduction(sch.g2, W_SET, sch.params.eps, scope=w)
     assert report.holds
     assert report.scope_size == sch.w_size
 
@@ -84,8 +84,8 @@ def test_exact_error_factorizes_and_stays_below_eps():
     sch = w_scheme()
     d = sch.params.d
     members = set(W_SET)
-    w = set(check_strong_reduction(sch.g1, W_SET, sch.eps).violating)
-    t = overlap_threshold(d, sch.eps)
+    w = set(check_strong_reduction(sch.g1, W_SET, sch.params.eps).violating)
+    t = overlap_threshold(d, sch.params.eps)
     for x in range(sch.params.m):
         true_pairs = sum(query(sch, x, FixedProbes(i1, i2))
                          for i1, i2 in itertools.product(range(d), repeat=2))
@@ -94,7 +94,7 @@ def test_exact_error_factorizes_and_stays_below_eps():
         if x in members:
             assert rate == 1
             continue
-        assert rate < sch.eps
+        assert rate < sch.params.eps
         ov2 = probe_overlap(sch.g2, x, sch.stages[1].bitmap)
         if x in w:
             # the second stage carries vertices the first stage misclassified
