@@ -1,7 +1,7 @@
 """Packed bit vector, LSB-first within bytes.
 
 Bit w lives in byte w >> 3 at position w & 7.  This is the layout the
-scheme files use on disk, so ``to_bytes``/``from_bytes`` are exact.
+scheme files use on disk, so ``to_bytes`` and the constructor are exact.
 """
 
 import numpy as np
@@ -17,10 +17,6 @@ class Bitmap:
             raise ValueError(f"buffer length {len(buf)} != {nbytes} for {nbits} bits")
         self.nbits = nbits
         self._buf = bytearray(nbytes if buf is None else buf)
-
-    @classmethod
-    def from_bytes(cls, nbits: int, data: bytes) -> "Bitmap":
-        return cls(nbits, data)
 
     @classmethod
     def from_bool_array(cls, arr) -> "Bitmap":

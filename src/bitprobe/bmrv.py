@@ -51,9 +51,10 @@ def default_max_iters(m: int) -> int:
 
 def greedy_label(g: SeededGraph, A, eps) -> Labeling:
     """Run the alternating relabeling for A; raises NonConvergence after
-    default_max_iters(m) rounds.  Each round counts its side's slots
-    through slot_overlap_counts and rewrites only Gamma(erroneous), in
-    chunks of SCAN_CHUNK_POINTS points."""
+    default_max_iters(m) rounds.  Each round packs the labels into a
+    Bitmap, counts its side's slots against it through slot_overlap_counts
+    and rewrites only Gamma(erroneous), in chunks of SCAN_CHUNK_POINTS
+    points; the last round's Bitmap is the labeling."""
     p = g.params
     threshold = overlap_threshold(p.d, eps)
     members = np.asarray(check_set(A, p), dtype=np.int64)
@@ -67,7 +68,8 @@ def greedy_label(g: SeededGraph, A, eps) -> Labeling:
     outside_turn = True
     while True:
         rows = outside if outside_turn else members
-        ones = slot_overlap_counts(g, labels, rows)
+        bits = Bitmap.from_bool_array(labels)
+        ones = slot_overlap_counts(g, bits, rows)
         erroneous = rows[(ones if outside_turn else p.d - ones) >= threshold]
         if not erroneous.size:
             break
@@ -79,7 +81,7 @@ def greedy_label(g: SeededGraph, A, eps) -> Labeling:
         trace.append(int(erroneous.size))
         outside_turn = not outside_turn
 
-    return Labeling(Bitmap.from_bool_array(labels), iterations, tuple(trace))
+    return Labeling(bits, iterations, tuple(trace))
 
 
 class BmrvScheme(Scheme):

@@ -98,9 +98,13 @@ def edge_targets(g: SeededGraph, vs) -> np.ndarray:
     Returns an int64 array of shape (len(vs), d); row order follows vs.
     """
     p = g.params
-    vs = np.asarray(vs, dtype=np.int64)
-    if vs.size and (vs.min() < 0 or vs.max() >= p.m):
-        raise ValueError("left vertex out of range")
+    try:
+        vs = np.asarray(vs, dtype=np.int64)
+    except OverflowError:  # an int beyond int64 is named below like any other
+        vs = np.asarray(vs, dtype=object)
+    bad = vs[(vs < 0) | (vs >= p.m)]
+    if bad.size:
+        raise ValueError(f"left vertex {bad[0]} out of range [0, {p.m})")
     pts = (vs[:, None].astype(np.uint64) * np.uint64(p.d)
            + np.arange(p.d, dtype=np.uint64)).ravel()
     out = poly_eval_block(g.seed, pts)
@@ -108,14 +112,9 @@ def edge_targets(g: SeededGraph, vs) -> np.ndarray:
     return out.view(np.int64).reshape(len(vs), p.d)
 
 
-def marked_neighbors(g: SeededGraph, A) -> np.ndarray:
-    """Boolean indicator of Gamma(A) over [0, s)."""
-    flags = np.zeros(g.params.s, dtype=bool)
-    flags[edge_targets(g, sorted(A)).ravel()] = True
-    return flags
-
-
 def neighborhood_bitmap(g: SeededGraph, A) -> Bitmap:
     """The stored string: bit w set iff some probe slot of A lands on w."""
-    return Bitmap.from_bool_array(marked_neighbors(g, A))
-
+    tg = edge_targets(g, sorted(A)).ravel()
+    packed = np.zeros((g.params.s + 7) >> 3, dtype=np.uint8)
+    np.bitwise_or.at(packed, tg >> 3, np.left_shift(1, tg & 7).astype(np.uint8))
+    return Bitmap(g.params.s, packed)

@@ -2,10 +2,11 @@
 
 Every error count here enumerates; nothing samples.  Budgets are hard
 limits and blowing one raises, because an oracle that silently falls back
-to sampling is not an oracle.  The one sample is a cross-check of the edge
-scan itself: the encoder and the oracle share one evaluation kernel, so a
-fault in it would otherwise certify itself, and the sample is recomputed
-by ``gf.reference_block`` on a route that the scan does not take.
+to sampling is not an oracle.  ``slot_overlap_counts`` counts each stage
+against its stored Bitmap as it is.  The one sample is a cross-check of
+the edge scan itself: the encoder and the oracle share one evaluation
+kernel, so a fault in it would otherwise certify itself, and the sample is
+recomputed by ``gf.reference_block`` on a route that the scan does not take.
 """
 
 import random
@@ -115,7 +116,7 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     answered_true = np.ones(p.m, dtype=np.int64)
     for number, st in enumerate(sch.stages, 1):
         _check_edge_sample(st.graph, number)
-        answered_true *= slot_overlap_counts(st.graph, st.bitmap.as_bool_array(), rows)
+        answered_true *= slot_overlap_counts(st.graph, st.bitmap, rows)
     denominator = p.d ** stages
     member = np.zeros(p.m, dtype=bool)
     member[A] = True

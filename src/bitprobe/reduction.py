@@ -1,11 +1,12 @@
-"""Checkers for the reduction properties that drive seed acceptance.
+"""The one overlap counter, and the reduction check behind seed acceptance.
 
 A left vertex x violates relative to a marked set when at least
 ceil(eps*d) of its d probe slots land on marked right vertices.  Slots are
 counted with multiplicity, so the count over Gamma(A) is an upper bound on
 the distinct-vertex overlap and slot_count/d is exactly the query's
 false-positive probability.  The strong property asks for no violators on
-a scope; the plain property tolerates up to |A|/2 of them.
+a scope; the plain property tolerates up to |A|/2 of them.  Every count
+reads the marked set as a packed ``Bitmap``, the bytes a scheme file stores.
 """
 
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import Bitmap
-from .graph import SeededGraph, edge_targets, marked_neighbors, neighbor
+from .graph import SeededGraph, edge_targets, neighborhood_bitmap
 
 # Points per slot_overlap_counts chunk: bounds the int64 neighbor table
 # (8 bytes per slot, 2 MiB) that a scan holds at once.
@@ -37,24 +38,20 @@ def overlap_threshold(d: int, eps) -> int:
     return math.ceil(Fraction(eps) * d)
 
 
-def probe_overlap(g: SeededGraph, v: int, marked: Bitmap) -> int:
-    """Number of probe slots of v whose target bit is set in ``marked``."""
+def slot_overlap_counts(g: SeededGraph, marked: Bitmap, rows) -> np.ndarray:
+    """Per-row count of probe slots whose target bit is set in ``marked``,
+    in row order, SCAN_CHUNK_POINTS points at a time."""
     d = g.params.d
-    return sum(marked.get(neighbor(g, v, i)) for i in range(d))
-
-
-def slot_overlap_counts(g: SeededGraph, marked_flags: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-row slot overlap against a boolean marked array, chunked."""
-    d = g.params.d
-    rows = np.asarray(rows, dtype=np.int64)
+    packed = np.frombuffer(marked.to_bytes(), dtype=np.uint8)
     counts = np.zeros(len(rows), dtype=np.int64)
     rows_per_chunk = max(1, SCAN_CHUNK_POINTS // d)
     for lo in range(0, len(rows), rows_per_chunk):
         hi = min(len(rows), lo + rows_per_chunk)
         tg = edge_targets(g, rows[lo:hi])
-        hits = np.flatnonzero(marked_flags[tg.ravel()])
-        if hits.size:
-            counts[lo:hi] += np.bincount(hits // d, minlength=hi - lo)
+        hit = packed.take(tg >> 3)  # bit w is packed[w >> 3] >> (w & 7) & 1
+        hit >>= tg.astype(np.uint8) & 7
+        hit &= 1
+        counts[lo:hi] = hit.sum(axis=1, dtype=np.int64)
     return counts
 
 
@@ -76,6 +73,6 @@ def check_strong_reduction(g: SeededGraph, A, eps, scope=None) -> ReductionRepor
         rows = np.asarray(sorted(scope), dtype=np.int64)
     if not rows.size:
         return ReductionReport((), 0)
-    counts = slot_overlap_counts(g, marked_neighbors(g, A), rows)
+    counts = slot_overlap_counts(g, neighborhood_bitmap(g, A), rows)
     violating = tuple(int(v) for v in rows[counts >= overlap_threshold(p.d, eps)])
     return ReductionReport(violating, len(rows))

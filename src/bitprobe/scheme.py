@@ -14,7 +14,7 @@ from fractions import Fraction
 from .bits import Bitmap
 from .gf import GF2_64, FieldSpec, default_indep_k, draw_seed
 from .graph import GraphParams, SeededGraph, derive_params, neighbor
-from .reduction import probe_overlap
+from .reduction import slot_overlap_counts
 
 DEFAULT_MAX_RETRIES = 64
 
@@ -139,5 +139,6 @@ def exact_error(sch: Scheme, x: int) -> Fraction:
     the product over stages of the share of x's probe slots that read 1."""
     rate = Fraction(1)
     for st in sch.stages:
-        rate *= Fraction(probe_overlap(st.graph, x, st.bitmap), sch.params.d)
+        (ones,) = slot_overlap_counts(st.graph, st.bitmap, [x])
+        rate *= Fraction(int(ones), sch.params.d)
     return rate

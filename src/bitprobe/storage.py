@@ -234,5 +234,5 @@ def load(data: bytes) -> Scheme:
         if nbits != 1 << h["log2_s"]:
             raise InvariantViolation(f"bitmap of {nbits} bits, expected s = {1 << h['log2_s']}")
         stages.append(Stage(SeededGraph(params, PolySeed(coeffs, field)),
-                            Bitmap.from_bytes(nbits, raw[8:]), n))
+                            Bitmap(nbits, raw[8:]), n))
     return cls(tuple(stages), h["master_seed"], w_size)

@@ -18,7 +18,7 @@ import pytest
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme
 from bitprobe.gf import GF2_64, FieldSpec, PolySeed, draw_seed, poly_eval
-from bitprobe.graph import GraphParams, SeededGraph, edge_targets
+from bitprobe.graph import GraphParams, SeededGraph, edge_targets, neighbor
 from bitprobe.oracle import BudgetExceeded
 from bitprobe.scheme import Stage
 
@@ -152,6 +152,13 @@ class CountingBitmap(Bitmap):
     def get(self, i):
         self.reads += 1
         return super().get(i)
+
+
+def probe_overlap(g: SeededGraph, v: int, marked: Bitmap) -> int:
+    """Reference slot overlap: how many of v's probe slots read a 1 in
+    ``marked``, by scalar ``neighbor`` and ``Bitmap.get``, one slot at a
+    time.  The library counts through ``reduction.slot_overlap_counts``."""
+    return sum(marked.get(neighbor(g, v, i)) for i in range(g.params.d))
 
 
 def with_bitmaps(sch, *bitmaps):

@@ -130,7 +130,7 @@ def test_criterion_2_two_probe_correctness(store, capsys):
             # one-sidedness: every member probe slot is marked in both stages
             rows = list(A)
             for g, bm in ((sch.g1, sch.stages[0].bitmap), (sch.g2, sch.stages[1].bitmap)):
-                counts = slot_overlap_counts(g, bm.as_bool_array(), rows)
+                counts = slot_overlap_counts(g, bm, rows)
                 if not (counts == sch.params.d).all():
                     failures.append((idx, u, n, _eps_str(eps), "member slot unmarked"))
         if sch.w_size > n // 2:

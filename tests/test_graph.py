@@ -143,8 +143,9 @@ def test_neighborhood_bitmap_single_vertex_popcount():
         g = SeededGraph(params, seed)
         v = rng.randrange(8)
         bm = neighborhood_bitmap(g, [v])
-        distinct = len({neighbor(g, v, i) for i in range(5)})
-        assert bm.as_bool_array().sum() == distinct <= 5
+        targets = {neighbor(g, v, i) for i in range(5)}
+        assert bm.as_bool_array().sum() == len(targets) <= 5
+        assert {w for w in range(32) if bm.get(w)} == targets
 
 
 def test_neighborhood_bitmap_toy_adjacency():

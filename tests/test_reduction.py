@@ -1,22 +1,28 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from bitprobe import reduction
 from bitprobe.bits import Bitmap
-from bitprobe.gf import draw_seed
+from bitprobe.gf import FieldSpec, PolySeed, draw_seed
 from bitprobe.graph import (
     SeededGraph,
     derive_params,
     neighbor,
     neighborhood_bitmap,
 )
-from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_overlap
+from bitprobe.reduction import check_strong_reduction, overlap_threshold, slot_overlap_counts
 
 from helpers import (
     check_reduction_property,
     edge_table,
     explicit_graph,
+    on_both_routes,
+    probe_overlap,
     random_explicit_graph,
     toy_params,
 )
@@ -54,6 +60,29 @@ def test_probe_overlap_trivials():
     only2 = Bitmap.from_bool_array([False, False, True, False])
     assert probe_overlap(g, 0, only2) == 1
     assert probe_overlap(g, 1, only2) == 1
+
+
+@on_both_routes("w", [3, 8, 16, 32, 64])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_slot_overlap_counts_equals_the_scalar_count(w, route, data, monkeypatch):
+    # Any seed and any stored bytes; rows unordered, repeated or none, and
+    # chunks of a few points, so most draws span several chunks.
+    field = FieldSpec(w)
+    d = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, min(16, field.order // d)))
+    log2_s = data.draw(st.integers(0, min(w, 6)))
+    params = toy_params(m, 1 << log2_s, d, Fraction(1, 2))
+    coeffs = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1, max_size=4))
+    g = SeededGraph(params, PolySeed(tuple(coeffs), field))
+    nbytes = ((1 << log2_s) + 7) >> 3
+    marked = Bitmap(params.s, data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=30))
+    monkeypatch.setattr(reduction, "SCAN_CHUNK_POINTS", data.draw(st.integers(1, 12)))
+    counts = slot_overlap_counts(g, marked, rows)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [probe_overlap(g, v, marked) for v in rows]
 
 
 def test_strong_reduction_empty_set():

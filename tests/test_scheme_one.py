@@ -93,8 +93,10 @@ def test_query_rejects_out_of_range_probe_and_element():
         query(sch, x, FixedProbes(sch.params.d))  # probe index out of range
     with pytest.raises(ValueError):
         query(sch, sch.params.m, FixedProbes(0))  # element out of range
-    with pytest.raises(ValueError):
-        exact_error(sch, -1)
+    m = sch.params.m
+    for x in (-1, m, 1 << 64):  # the text that neighbor gives
+        with pytest.raises(ValueError, match=fr"^left vertex {x} out of range \[0, {m}\)$"):
+            exact_error(sch, x)
 
 
 @pytest.mark.parametrize("kind_encode", [scheme_one.encode, scheme_two.encode, bmrv.encode],

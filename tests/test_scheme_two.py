@@ -6,11 +6,11 @@ import pytest
 
 from bitprobe import scheme
 from bitprobe.graph import GraphParams, neighborhood_bitmap
-from bitprobe.reduction import check_strong_reduction, overlap_threshold, probe_overlap
+from bitprobe.reduction import check_strong_reduction, overlap_threshold
 from bitprobe.scheme import RetriesExhausted, exact_error
 from bitprobe.scheme_two import TwoProbeScheme, encode, query
 
-from helpers import CountingBitmap, FixedProbes, explicit_graph, with_bitmaps
+from helpers import CountingBitmap, FixedProbes, explicit_graph, probe_overlap, with_bitmaps
 
 # Toy cell where stage 1 routinely leaves a nonempty misclassified set:
 # m=16, s=16, d=4, eps=1/2, A of size 4, master_seed=0 gives |W| = 2.

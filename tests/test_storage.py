@@ -43,7 +43,7 @@ def bmrv_scheme():
 def test_bitmap_packing_is_lsb_first():
     bm = Bitmap.from_bool_array([i in (0, 3, 8) for i in range(12)])
     assert bm.to_bytes() == bytes([0b00001001, 0b00000001])
-    again = Bitmap.from_bytes(12, bm.to_bytes())
+    again = Bitmap(12, bm.to_bytes())
     assert [again.get(i) for i in range(12)] == [bm.get(i) for i in range(12)]
     assert again.as_bool_array().sum() == 3
     with pytest.raises(IndexError):
