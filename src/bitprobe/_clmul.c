@@ -9,8 +9,15 @@
  *
  * A product depends on the one before it, so the bulk loop runs LANES
  * points side by side: the multiplier then works on independent chains
- * instead of waiting out each product's latency.  horner is the one place
- * that branches on the width; a single point runs through it with n = 1.
+ * instead of waiting out each product's latency.  horner and count are the
+ * only places that branch on the width; a single point runs through horner
+ * with n = 1.
+ *
+ * count fuses the acceptance test of a seeded graph into the same loop: for
+ * each left vertex r it evaluates the points r*d + i (i < d), masks each
+ * value by top = s - 1 and adds up the bits that the masks name in a packed
+ * bitmap (bit b is byte b >> 3 at position b & 7, the layout of a scheme
+ * file).  No point array or neighbor table is built.
  *
  * The module section at the end makes this file the CPython extension that
  * _clmul.py builds with gcc -O2 against the interpreter's headers.  Only the
@@ -94,27 +101,81 @@ static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, 
         eval_all(coeffs, k, xs, out, n, w, mask, 0);
 }
 
+/* out[r] = how many of the points rows[r]*d + i, i < d, evaluate to a value
+ * v with bit v & top set in packed, for r < n.  The points of consecutive
+ * rows run through the lanes as one stream, so every group of LANES points
+ * but the last is full whatever d is. */
+KERNEL void count_all(const uint64_t *coeffs, size_t k, const uint64_t *rows, uint64_t *out,
+                      size_t n, uint64_t d, uint64_t top, const uint8_t *packed,
+                      int w, uint64_t mask, int wide)
+{
+    uint64_t xs[LANES], ys[LANES];
+    size_t owner[LANES];
+    size_t r = 0;
+    uint64_t i = 0;
+    for (size_t j = 0; j < n; j++)
+        out[j] = 0;
+    while (r < n) {
+        size_t lanes = 0;
+        for (; lanes < LANES && r < n; lanes++) {
+            xs[lanes] = rows[r] * d + i;
+            owner[lanes] = r;
+            if (++i == d) {
+                i = 0;
+                r++;
+            }
+        }
+        if (lanes == LANES)
+            eval(coeffs, k, xs, ys, w, mask, LANES, wide);
+        else
+            for (size_t l = 0; l < lanes; l++)
+                eval(coeffs, k, xs + l, ys + l, w, mask, 1, wide);
+        for (size_t l = 0; l < lanes; l++) {
+            uint64_t b = ys[l] & top;
+            out[owner[l]] += packed[b >> 3] >> (b & 7) & 1;
+        }
+    }
+}
+
+static PCLMUL void count(const uint64_t *coeffs, size_t k, const uint64_t *rows, uint64_t *out,
+                         size_t n, uint64_t d, uint64_t top, const uint8_t *packed,
+                         int w, uint64_t mask)
+{
+    if (w == 64)
+        count_all(coeffs, k, rows, out, n, d, top, packed, w, mask, 1);
+    else
+        count_all(coeffs, k, rows, out, n, d, top, packed, w, mask, 0);
+}
+
 /* ------------------------------------------------------------------------
  * The module.  Every entry point checks its arguments before the loop
  * runs: a coefficient buffer of whole uint64 words, at least one; xs and
  * out uint64 arrays of one length, out writable; x, w and mask in range.
- * A bad argument raises and nothing is read or written.
+ * count takes rows and out as uint64 or int64 arrays of one length, out
+ * writable, d >= 1, every point rows[r]*d + i in the field, and a packed
+ * buffer that holds bit top.  A bad argument raises and nothing is read or
+ * written.
  * ------------------------------------------------------------------------ */
 
-/* A view of obj as 8-byte-aligned uint64 words.  An array (xs, out) must
- * be one of uint64 items; the coefficients may be any buffer of whole
+enum { WORDS, UINT64_ARRAY, INT64_ARRAY };
+
+/* A view of obj as 8-byte-aligned uint64 words.  An array (xs, out, rows)
+ * must be one of uint64 items, or of int64 items where kind is
+ * INT64_ARRAY; the coefficients (kind WORDS) may be any buffer of whole
  * words, such as the bytes that PolySeed caches, but at least one. */
-static int get_words(PyObject *obj, Py_buffer *view, int flags, int array, const char *name)
+static int get_words(PyObject *obj, Py_buffer *view, int flags, int kind, const char *name)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
     const char *f = view->format ? view->format : "B";
     if (*f == '@' || *f == '=' || *f == '<')
         f++;
+    int item = *f == 'Q' || *f == 'L' || (kind == INT64_ARRAY && (*f == 'q' || *f == 'l'));
     const char *fault = NULL;
-    if (array && (view->itemsize != 8 || (*f != 'Q' && *f != 'L') || f[1]))
-        fault = "must be a C-contiguous uint64 array";
-    else if (!array && (view->len == 0 || view->len % 8))
+    if (kind != WORDS && (view->itemsize != 8 || !item || f[1]))
+        fault = kind == INT64_ARRAY ? "must be a C-contiguous uint64 or int64 array"
+                                    : "must be a C-contiguous uint64 array";
+    else if (kind == WORDS && (view->len == 0 || view->len % 8))
         fault = "must hold a positive whole number of uint64 words";
     else if (view->len && (uintptr_t)view->buf % 8)
         fault = "is not 8-byte aligned";
@@ -167,13 +228,13 @@ static PyObject *py_horner(PyObject *module, PyObject *const *args, Py_ssize_t n
     if (check_count("horner", nargs, 5) < 0 || get_width(args[3], &w) < 0
         || get_u64(args[4], &mask) < 0)
         return NULL;
-    if (get_words(args[0], &coeffs, PyBUF_SIMPLE, 0, "coeffs") < 0)
+    if (get_words(args[0], &coeffs, PyBUF_SIMPLE, WORDS, "coeffs") < 0)
         return NULL;
-    if (get_words(args[1], &xs, PyBUF_SIMPLE, 1, "xs") < 0) {
+    if (get_words(args[1], &xs, PyBUF_SIMPLE, UINT64_ARRAY, "xs") < 0) {
         PyBuffer_Release(&coeffs);
         return NULL;
     }
-    if (get_words(args[2], &out, PyBUF_WRITABLE, 1, "out") < 0) {
+    if (get_words(args[2], &out, PyBUF_WRITABLE, UINT64_ARRAY, "out") < 0) {
         PyBuffer_Release(&xs);
         PyBuffer_Release(&coeffs);
         return NULL;
@@ -199,7 +260,7 @@ static PyObject *py_horner1(PyObject *module, PyObject *const *args, Py_ssize_t 
     int w;
     if (check_count("horner1", nargs, 4) < 0 || get_u64(args[1], &x) < 0
         || get_width(args[2], &w) < 0 || get_u64(args[3], &mask) < 0
-        || get_words(args[0], &coeffs, PyBUF_SIMPLE, 0, "coeffs") < 0)
+        || get_words(args[0], &coeffs, PyBUF_SIMPLE, WORDS, "coeffs") < 0)
         return NULL;
     uint64_t y;
     horner(coeffs.buf, (size_t)coeffs.len / 8, &x, &y, 1, w, mask);
@@ -207,11 +268,75 @@ static PyObject *py_horner1(PyObject *module, PyObject *const *args, Py_ssize_t 
     return PyLong_FromUnsignedLongLong(y);
 }
 
+/* 0 when count can run on these arguments: rows and out of one length,
+ * bit top inside packed, and every point rows[r]*d + i in GF(2^w);
+ * otherwise -1 with a ValueError set. */
+static int check_count_args(const Py_buffer *rows, const Py_buffer *out, uint64_t d,
+                            uint64_t top, Py_ssize_t packed_len, int w)
+{
+    if (rows->len != out->len) {
+        PyErr_Format(PyExc_ValueError, "rows has %zd vertices but out has room for %zd",
+                     rows->len / 8, out->len / 8);
+        return -1;
+    }
+    if (top >> 3 >= (uint64_t)packed_len) {
+        PyErr_Format(PyExc_ValueError, "packed has %zd bytes, too few for bit %llu",
+                     packed_len, (unsigned long long)top);
+        return -1;
+    }
+    uint64_t last = w == 64 ? ~0ULL : (1ULL << w) - 1;  /* the largest field element */
+    const uint64_t *r = rows->buf;
+    for (Py_ssize_t j = 0; j < rows->len / 8; j++)
+        if (d - 1 > last || r[j] > (last - (d - 1)) / d) {
+            PyErr_Format(PyExc_ValueError, "row %llu has points beyond GF(2^%d) at d = %llu",
+                         (unsigned long long)r[j], w, (unsigned long long)d);
+            return -1;
+        }
+    return 0;
+}
+
+static PyObject *py_count(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer coeffs, rows, out, packed;
+    uint64_t d, top, mask;
+    int w, bad = -1;
+    if (check_count("count", nargs, 8) < 0 || get_u64(args[3], &d) < 0
+        || get_u64(args[4], &top) < 0 || get_width(args[6], &w) < 0
+        || get_u64(args[7], &mask) < 0)
+        return NULL;
+    if (d == 0) {
+        PyErr_SetString(PyExc_ValueError, "d must be at least 1");
+        return NULL;
+    }
+    if (get_words(args[0], &coeffs, PyBUF_SIMPLE, WORDS, "coeffs") < 0)
+        return NULL;
+    if (get_words(args[1], &rows, PyBUF_SIMPLE, INT64_ARRAY, "rows") == 0) {
+        if (get_words(args[2], &out, PyBUF_WRITABLE, INT64_ARRAY, "out") == 0) {
+            if (PyObject_GetBuffer(args[5], &packed, PyBUF_SIMPLE) == 0) {
+                bad = check_count_args(&rows, &out, d, top, packed.len, w);
+                if (!bad)
+                    count(coeffs.buf, (size_t)coeffs.len / 8, rows.buf, out.buf,
+                          (size_t)rows.len / 8, d, top, packed.buf, w, mask);
+                PyBuffer_Release(&packed);
+            }
+            PyBuffer_Release(&out);
+        }
+        PyBuffer_Release(&rows);
+    }
+    PyBuffer_Release(&coeffs);
+    if (bad)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"horner", (PyCFunction)(void (*)(void))py_horner, METH_FASTCALL,
      "horner(coeffs, xs, out, w, mask): out[i] = the polynomial at xs[i] over GF(2^w)."},
     {"horner1", (PyCFunction)(void (*)(void))py_horner1, METH_FASTCALL,
      "horner1(coeffs, x, w, mask): the polynomial at the single point x."},
+    {"count", (PyCFunction)(void (*)(void))py_count, METH_FASTCALL,
+     "count(coeffs, rows, out, d, top, packed, w, mask): out[r] = how many of the points "
+     "rows[r]*d + i, i < d, evaluate over GF(2^w) to a value v with bit v & top set in packed."},
     {NULL, NULL, 0, NULL},
 };
 

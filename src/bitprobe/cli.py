@@ -108,11 +108,9 @@ def _env_budget():
     return int(raw)
 
 
-@contextlib.contextmanager
-def _csv_output(path):
-    """A CSV writer on the file at path, or on stdout without one."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
-        yield csv.writer(out)
+def _output(path):
+    """The file at path, opened for CSV text, or stdout without one."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_build(args) -> int:
@@ -173,18 +171,33 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+# Profile rows per write: bounds the CSV text held at once.
+_ROWS_PER_WRITE = 1 << 12
+
+
+def _write_profile(profile, out) -> None:
+    """Write the profile to out as the CSV text that csv.writer writes: one
+    row per element with its membership flag and its error in lowest
+    terms, 0 as 0/1.  Each distinct (flag, error) tail is formatted once."""
+    errors, which = np.unique(profile.per_element, return_inverse=True)
+    tails = [f",{flag},{rate.numerator},{rate.denominator}\r\n"
+             for rate in (Fraction(e, profile.denominator) for e in errors.tolist())
+             for flag in (0, 1)]
+    keys = (2 * which + profile.member).tolist()
+    out.write("element,membership,exact_error_num,exact_error_den\r\n")
+    for lo in range(0, len(keys), _ROWS_PER_WRITE):
+        out.write("".join([f"{x}{tails[key]}"
+                           for x, key in enumerate(keys[lo:lo + _ROWS_PER_WRITE], lo)]))
+
+
 def cmd_verify(args) -> int:
     try:
         budget = _env_budget()
         scheme = _load_scheme(args.scheme_file)
         A = _read_set_file(args.set_file, scheme.params.m)
         profile = error_profile(scheme, A, budget)
-        errors, den = profile.per_element, profile.denominator
-        common = np.gcd(errors, den)  # each row in lowest terms, 0 as 0/1
-        with _csv_output(args.output) as writer:
-            writer.writerow(["element", "membership", "exact_error_num", "exact_error_den"])
-            writer.writerows(zip(range(len(errors)), profile.member.astype(int).tolist(),
-                                 (errors // common).tolist(), (den // common).tolist()))
+        with _output(args.output) as out:
+            _write_profile(profile, out)
     except BudgetExceeded as exc:
         print(f"verify aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
@@ -246,7 +259,8 @@ def cmd_bench(args) -> int:
     violated = False
     try:
         budget = _env_budget()
-        with _csv_output(args.output) as writer:
+        with _output(args.output) as out:
+            writer = csv.writer(out)
             writer.writerow(BENCH_COLUMNS)
             for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
                 try:

@@ -23,13 +23,21 @@ seed space.
 Evaluation has two routes with the same values, and this module alone
 picks between them.  The compiled one is the Horner loop of ``_clmul.c``
 on the CPU's carry-less multiply, a CPython extension built on the first
-evaluation and cached (see ``_clmul``): ``poly_eval_block`` hands it a
-whole array, ``poly_eval`` one point, each with the coefficient bytes,
-width and mask that the seed caches once.  Where the machine cannot run
-it, they fall back to a numpy bit-split Horner (``_numpy_block``) and a
-pure-Python one (``_horner``).  ``reference_block`` evaluates on the route
-that ``poly_eval_block`` does not take, so that the oracle can check it.
-Every route rejects a point outside the field before it evaluates.
+evaluation and cached (see ``_clmul``).  Its entry points, each given the
+coefficient bytes, width and mask that the seed caches once:
+
+- ``poly_eval_block`` hands it a whole array of points;
+- ``poly_eval`` hands it one point;
+- ``overlap_counts`` hands it left vertices and a packed bitmap, and gets
+  back each vertex's count of probe slots on set bits, evaluated and
+  tested in one loop.
+
+Where the machine cannot run it, the first two fall back to a numpy
+bit-split Horner (``_numpy_block``) and a pure-Python one (``_horner``),
+and ``overlap_counts`` gives None, so that ``reduction`` counts on its
+numpy edge scan.  ``reference_block`` evaluates on the route that
+``poly_eval_block`` does not take, so that the oracle can check it.  Every
+route rejects a point outside the field before it evaluates.
 """
 
 from dataclasses import dataclass
@@ -223,6 +231,21 @@ def poly_eval_block(seed: PolySeed, xs) -> np.ndarray:
     out = np.empty_like(xs)
     words, w, mask = seed._kernel_args
     lib.horner(words, xs, out, w, mask)
+    return out
+
+
+def overlap_counts(seed: PolySeed, rows: np.ndarray, d: int, s: int, packed):
+    """Per left vertex r of the contiguous int64 array rows, how many of
+    the points r*d + i (i < d) evaluate to a value whose low log2(s) bits
+    name a set bit of the LSB-first bytes packed: the compiled loop's fused
+    count, in one pass with no point array.  None where the compiled loop
+    cannot run, and the caller counts on the numpy route."""
+    lib = _clmul._lib()
+    if lib is None:
+        return None
+    out = np.empty(len(rows), dtype=np.int64)
+    words, w, mask = seed._kernel_args
+    lib.count(words, rows, out, d, s - 1, packed, w, mask)
     return out
 
 

@@ -92,19 +92,27 @@ def neighbor(g: SeededGraph, v: int, i: int) -> int:
     return poly_eval(g.seed, v * p.d + i) & (p.s - 1)
 
 
+def left_vertices(g: SeededGraph, vs) -> np.ndarray:
+    """vs as a contiguous int64 array; the first one outside [0, m)
+    raises, named as ``neighbor`` names it."""
+    m = g.params.m
+    try:
+        vs = np.ascontiguousarray(vs, dtype=np.int64)
+    except OverflowError:  # an int beyond int64 is named below like any other
+        vs = np.asarray(vs, dtype=object)
+    bad = vs[(vs < 0) | (vs >= m)]
+    if bad.size:
+        raise ValueError(f"left vertex {bad[0]} out of range [0, {m})")
+    return vs
+
+
 def edge_targets(g: SeededGraph, vs) -> np.ndarray:
     """Neighbor table for the given left vertices.
 
     Returns an int64 array of shape (len(vs), d); row order follows vs.
     """
     p = g.params
-    try:
-        vs = np.asarray(vs, dtype=np.int64)
-    except OverflowError:  # an int beyond int64 is named below like any other
-        vs = np.asarray(vs, dtype=object)
-    bad = vs[(vs < 0) | (vs >= p.m)]
-    if bad.size:
-        raise ValueError(f"left vertex {bad[0]} out of range [0, {p.m})")
+    vs = left_vertices(g, vs)
     pts = (vs[:, None].astype(np.uint64) * np.uint64(p.d)
            + np.arange(p.d, dtype=np.uint64)).ravel()
     out = poly_eval_block(g.seed, pts)

@@ -3,10 +3,17 @@
 Every error count here enumerates; nothing samples.  Budgets are hard
 limits and blowing one raises, because an oracle that silently falls back
 to sampling is not an oracle.  ``slot_overlap_counts`` counts each stage
-against its stored Bitmap as it is.  The one sample is a cross-check of
-the edge scan itself: the encoder and the oracle share one evaluation
-kernel, so a fault in it would otherwise certify itself, and the sample is
-recomputed by ``gf.reference_block`` on a route that the scan does not take.
+against its stored Bitmap as it is.
+
+The encoder and the oracle share one evaluation kernel and one counter, so
+a fault in either would otherwise certify itself.  Two samples per stage,
+drawn by an rng keyed by the seed, cross-check them before the count:
+
+- edge indices, evaluated by the edge scan's ``poly_eval_block`` and again
+  by ``gf.reference_block`` on a route that the scan does not take;
+- left vertices, counted by ``slot_overlap_counts`` (the compiled fused
+  count where it runs) and again by ``reduction.scan_overlap_counts``,
+  the edge scan and a numpy bit test.
 """
 
 import random
@@ -17,13 +24,15 @@ import numpy as np
 
 from .gf import poly_eval_block, reference_block
 from .graph import SeededGraph
-from .reduction import slot_overlap_counts
+from .reduction import scan_overlap_counts, slot_overlap_counts
 from .scheme import Scheme
 
 # error_profile default: at most 2^20 universe elements times the probe count.
 PROBE_BUDGET_ELEMENTS = 1 << 20
 # Edges per stage that error_profile re-derives on a second route.
 EDGE_SAMPLES = 256
+# Left vertices per stage whose count error_profile re-counts on the scan.
+COUNT_SAMPLES = 16
 
 
 class BudgetExceeded(Exception):
@@ -31,7 +40,8 @@ class BudgetExceeded(Exception):
 
 
 class KernelMismatch(Exception):
-    """The edge scan and its reference route disagree on a sampled edge."""
+    """The edge scan and its reference route disagree on a sampled edge, or
+    the counter and the scan on a sampled left vertex."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +83,14 @@ class ErrorProfile:
         return self.false_negative_count == 0 and self.max_nonmember_error < self.eps
 
 
-def _check_edge_sample(g: SeededGraph, stage: int) -> None:
-    """Raise KernelMismatch unless ``EDGE_SAMPLES`` edge indices, drawn by
-    an rng keyed by the seed, evaluate the same through ``poly_eval_block``
-    (the route of the edge scan) as through ``reference_block`` (a route
-    the scan does not take)."""
+def _check_samples(g: SeededGraph, marked, stage: int) -> None:
+    """Raise KernelMismatch unless, drawn by an rng keyed by the seed,
+    ``EDGE_SAMPLES`` edge indices evaluate the same through
+    ``poly_eval_block`` (the route of the edge scan) as through
+    ``reference_block`` (a route the scan does not take), and then
+    ``COUNT_SAMPLES`` left vertices count the same slots on set bits of
+    ``marked`` through ``slot_overlap_counts`` as through
+    ``scan_overlap_counts``."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
@@ -88,6 +101,14 @@ def _check_edge_sample(g: SeededGraph, stage: int) -> None:
         i = bad[0]
         raise KernelMismatch(f"stage {stage}: edge index {edges[i]} evaluates to {scanned[i]} "
                              f"in the edge scan but to {reference[i]} on the {route} route")
+    rows = np.array([rng.randrange(p.m) for _ in range(COUNT_SAMPLES)], dtype=np.int64)
+    counted = slot_overlap_counts(g, marked, rows)
+    rescanned = scan_overlap_counts(g, marked, rows)
+    bad = np.flatnonzero(counted != rescanned)
+    if bad.size:
+        i = bad[0]
+        raise KernelMismatch(f"stage {stage}: left vertex {rows[i]} has {counted[i]} probe "
+                             f"slots on set bits in the count but {rescanned[i]} in the edge scan")
 
 
 def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
@@ -97,9 +118,9 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     The number of probe tuples (one slot per stage, d^stages of them) that
     answer x true factors into the product of the per-stage slot overlaps.
     The product is exact in int64: derived sizing has 2 d^2 n_cap <= s
-    <= 2^64, so d^2 < 2^63.  Each stage's edge scan is first cross-checked
-    on a sample (see ``_check_edge_sample``); a disagreement raises
-    KernelMismatch.
+    <= 2^64, so d^2 < 2^63.  Each stage's edge scan and count are first
+    cross-checked on samples (see ``_check_samples``); a disagreement
+    raises KernelMismatch.
     """
     p = sch.params
     stages = len(sch.stages)
@@ -115,7 +136,7 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     rows = np.arange(p.m, dtype=np.int64)
     answered_true = np.ones(p.m, dtype=np.int64)
     for number, st in enumerate(sch.stages, 1):
-        _check_edge_sample(st.graph, number)
+        _check_samples(st.graph, st.bitmap, number)
         answered_true *= slot_overlap_counts(st.graph, st.bitmap, rows)
     denominator = p.d ** stages
     member = np.zeros(p.m, dtype=bool)

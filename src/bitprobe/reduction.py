@@ -7,6 +7,13 @@ the distinct-vertex overlap and slot_count/d is exactly the query's
 false-positive probability.  The strong property asks for no violators on
 a scope; the plain property tolerates up to |A|/2 of them.  Every count
 reads the marked set as a packed ``Bitmap``, the bytes a scheme file stores.
+
+``slot_overlap_counts`` is the one counter.  It hands the rows to
+``gf.overlap_counts``, which evaluates and tests each slot in one compiled
+loop.  Where that loop cannot run, it counts through
+``scan_overlap_counts``: the edge scan, then a numpy test of each target's
+bit.  The scan is also the reference that the oracle checks the fused
+count against.
 """
 
 import math
@@ -16,9 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import Bitmap
-from .graph import SeededGraph, edge_targets, neighborhood_bitmap
+from .gf import overlap_counts
+from .graph import SeededGraph, edge_targets, left_vertices, neighborhood_bitmap
 
-# Points per slot_overlap_counts chunk: bounds the int64 neighbor table
+# Points per scan_overlap_counts chunk: bounds the int64 neighbor table
 # (8 bytes per slot, 2 MiB) that a scan holds at once.
 SCAN_CHUNK_POINTS = 1 << 18
 
@@ -40,7 +48,15 @@ def overlap_threshold(d: int, eps) -> int:
 
 def slot_overlap_counts(g: SeededGraph, marked: Bitmap, rows) -> np.ndarray:
     """Per-row count of probe slots whose target bit is set in ``marked``,
-    in row order, SCAN_CHUNK_POINTS points at a time."""
+    in row order: the compiled fused count where it runs, else the scan."""
+    rows = left_vertices(g, rows)
+    counts = overlap_counts(g.seed, rows, g.params.d, g.params.s, marked.to_bytes())
+    return scan_overlap_counts(g, marked, rows) if counts is None else counts
+
+
+def scan_overlap_counts(g: SeededGraph, marked: Bitmap, rows) -> np.ndarray:
+    """slot_overlap_counts on the numpy route: the edge scan, then each
+    target's bit, SCAN_CHUNK_POINTS points at a time."""
     d = g.params.d
     packed = np.frombuffer(marked.to_bytes(), dtype=np.uint8)
     counts = np.zeros(len(rows), dtype=np.int64)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bitprobe import bmrv, reduction
+from bitprobe import _clmul, bmrv, reduction
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import (
     NonConvergence,
@@ -182,18 +182,26 @@ def test_encode_query_roundtrip_on_seeded_graph():
 
 def test_encode_scans_in_chunks_past_scan_chunk_points(monkeypatch):
     # u=13, eps=1/2: m*d = 8192*52 = 425,984 edge indices, more than
-    # SCAN_CHUNK_POINTS, so a whole-table scan would show as one wide call
+    # SCAN_CHUNK_POINTS, so a whole-table scan would show as one wide call.
+    # On the compiled route the fused count builds no table, so only bmrv's
+    # own marking and rewrites scan; on the numpy route the count scans too.
     A = [5, 700, 1999, 4096, 8191]
-    calls = []  # (module, rows) per edge_targets call
-    for module in (bmrv, reduction):
-        def spy(g, vs, real=module.edge_targets, caller=module):
-            calls.append((caller, len(vs)))
-            return real(g, vs)
-        monkeypatch.setattr(module, "edge_targets", spy)
-    sch = bmrv.encode(A, 13, Fraction(1, 2), indep_k=6, master_seed=3)
-    p = sch.params
-    assert p.m * p.d > SCAN_CHUNK_POINTS
-    assert max(rows for _, rows in calls) <= max(len(A), SCAN_CHUNK_POINTS // p.d)
-    assert {caller for caller, _ in calls} == {bmrv, reduction}
-    monkeypatch.undo()
+    routes = [("numpy", {bmrv, reduction})]
+    if _clmul._lib() is not None:
+        routes.insert(0, ("compiled", {bmrv}))
+    for route, callers in routes:
+        if route == "numpy":
+            monkeypatch.setattr(_clmul, "_lib", lambda: None)
+        calls = []  # (module, rows) per edge_targets call
+        for module in (bmrv, reduction):
+            def spy(g, vs, real=module.edge_targets, caller=module):
+                calls.append((caller, len(vs)))
+                return real(g, vs)
+            monkeypatch.setattr(module, "edge_targets", spy)
+        sch = bmrv.encode(A, 13, Fraction(1, 2), indep_k=6, master_seed=3)
+        p = sch.params
+        assert p.m * p.d > SCAN_CHUNK_POINTS
+        assert max(rows for _, rows in calls) <= max(len(A), SCAN_CHUNK_POINTS // p.d)
+        assert {caller for caller, _ in calls} == callers, route
+        monkeypatch.undo()
     assert error_profile(sch, A).holds

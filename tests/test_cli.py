@@ -13,6 +13,7 @@ from bitprobe import _clmul, cli, gf, graph, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
+from bitprobe.oracle import ErrorProfile
 from bitprobe.storage import section_layout
 
 from helpers import on_both_routes, with_bitmaps
@@ -255,6 +256,22 @@ def test_verify_output_matches_golden(tmp_path, capsys, kind, route):
         assert (rc, digest, capsys.readouterr().err) == GOLDEN_VERIFY[kind, variant]
 
 
+def test_profile_csv_is_what_csv_writer_writes():
+    # rows past two writes; errors at 0, in lowest terms and not
+    rng = np.random.default_rng(5)
+    m, den = 2 * cli._ROWS_PER_WRITE + 3, 24 * 24
+    errors = rng.integers(0, den + 1, m)
+    member = rng.random(m) < 0.1
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["element", "membership", "exact_error_num", "exact_error_den"])
+    rates = [Fraction(e, den) for e in errors.tolist()]
+    writer.writerows([x, int(member[x]), r.numerator, r.denominator] for x, r in enumerate(rates))
+    got = io.StringIO(newline="")
+    cli._write_profile(ErrorProfile(errors, den, member, Fraction(1, 2), False), got)
+    assert got.getvalue() == want.getvalue()
+
+
 def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, capsys,
                                                                    monkeypatch):
     lib = _clmul._lib()
@@ -265,6 +282,7 @@ def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, cap
     class FlipFirstPoint:
         """The compiled loop, but bit 0 of the first point of a bulk call flips."""
         horner1 = lib.horner1
+        count = lib.count
 
         @staticmethod
         def horner(coeffs, xs, out, w, mask):
@@ -277,6 +295,38 @@ def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, cap
     err = capsys.readouterr().err
     assert re.fullmatch(r"verify failed: stage 1: edge index \d+ evaluates to \d+ in the edge "
                         r"scan but to \d+ on the numpy route\n", err), err
+    assert not csv_path.exists()
+    assert main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
+                 "--trials", "1", "--indep-k", "6"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0]["status"] == "KernelMismatch"
+
+
+def test_verify_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, capsys,
+                                                                  monkeypatch):
+    lib = _clmul._lib()
+    if lib is None:
+        pytest.skip("the compiled route is not loaded")
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+
+    class MiscountFirstRow:
+        """The compiled loop, but the fused count adds 1 to its first row."""
+        horner = lib.horner
+        horner1 = lib.horner1
+
+        @staticmethod
+        def count(coeffs, rows, out, d, top, packed, w, mask):
+            lib.count(coeffs, rows, out, d, top, packed, w, mask)
+            out[:1] += 1
+
+    monkeypatch.setattr(_clmul, "_lib", MiscountFirstRow)
+    csv_path = tmp_path / "profile.csv"
+    assert main(["verify", out, write_set(tmp_path, [3, 17, 40, 58]), "-o", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"verify failed: stage 1: left vertex \d+ has (\d+) probe slots on set "
+                        r"bits in the count but (\d+) in the edge scan\n", err), err
+    counted, scanned = map(int, re.findall(r"has (\d+) .* but (\d+) ", err)[0])
+    assert counted == scanned + 1
     assert not csv_path.exists()
     assert main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
                  "--trials", "1", "--indep-k", "6"]) == 1

@@ -195,6 +195,7 @@ def compiled_lib():
 
 WORDS = np.arange(1, 7, dtype=np.uint64).tobytes()  # six coefficients
 GF64 = (64, GF2_64.reduction_poly)
+PACKED = bytes([2]) + bytes(7)  # bits 0 to 63, of which bit 1 alone is set: top = s - 1 = 63
 BAD_CALLS = {
     "empty coefficients": lambda lib, xs, out: lib.horner(b"", xs, out, *GF64),
     "empty coefficients, one point": lambda lib, xs, out: lib.horner1(b"", 5, *GF64),
@@ -209,6 +210,23 @@ BAD_CALLS = {
     "x of 2^64": lambda lib, xs, out: lib.horner1(WORDS, 1 << 64, *GF64),
     "width 65": lambda lib, xs, out: lib.horner(WORDS, xs, out, 65, GF64[1]),
     "width 0, one point": lambda lib, xs, out: lib.horner1(WORDS, 5, 0, GF64[1]),
+    "count, rows longer than out": lambda lib, xs, out: lib.count(
+        WORDS, np.append(xs, xs), out, 4, 63, PACKED, *GF64),
+    "count, out longer than rows": lambda lib, xs, out: lib.count(
+        WORDS, xs[:7], out, 4, 63, PACKED, *GF64),
+    "count, read-only out": lambda lib, xs, out: lib.count(
+        WORDS, xs, read_only(out), 4, 63, PACKED, *GF64),
+    "count, strided rows": lambda lib, xs, out: lib.count(
+        WORDS, np.repeat(xs, 2)[::2], out, 4, 63, PACKED, *GF64),
+    "count, int32 rows": lambda lib, xs, out: lib.count(
+        WORDS, xs.astype(np.int32), out, 4, 63, PACKED, *GF64),
+    "count, packed a byte short of bit top": lambda lib, xs, out: lib.count(
+        WORDS, xs, out, 4, 63, PACKED[:7], *GF64),
+    "count, d of 0": lambda lib, xs, out: lib.count(WORDS, xs, out, 0, 63, PACKED, *GF64),
+    "count, points beyond the field": lambda lib, xs, out: lib.count(
+        WORDS[:8], xs, out, 33, 63, PACKED, 8, 0x1B),  # row 7's last point is 263
+    "count, points beyond 2^64": lambda lib, xs, out: lib.count(
+        WORDS, xs * np.uint64(1 << 61), out, 8, 63, PACKED, *GF64),
 }
 
 
@@ -225,6 +243,14 @@ def test_compiled_entry_points_reject_bad_arguments(case):
     with pytest.raises((ValueError, OverflowError)):
         BAD_CALLS[case](lib, xs, out)
     assert out.tolist() == [7] * 8  # nothing written
+
+
+def test_count_takes_int64_rows_and_the_last_row_that_fits():
+    # the bad count cases fail on one argument each; mended, they count
+    lib = compiled_lib()
+    rows, out = np.array([0, 7], dtype=np.int64), np.full(2, 7, dtype=np.int64)
+    lib.count(WORDS[:8], rows, out, 32, 63, PACKED, 8, 0x1B)  # row 7 ends at 255
+    assert out.tolist() == [32, 32]  # the constant polynomial 1 reads bit 1 in every slot
 
 
 @on_both_routes("x", [-1, 1 << 64])

@@ -67,22 +67,33 @@ def test_probe_overlap_trivials():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_slot_overlap_counts_equals_the_scalar_count(w, route, data, monkeypatch):
-    # Any seed and any stored bytes; rows unordered, repeated or none, and
-    # chunks of a few points, so most draws span several chunks.
+    # Any seed and any stored bytes; rows unordered, repeated or none.  The
+    # compiled loop runs 8 points side by side, so degrees off multiples of
+    # 8 (7, 52) carry a run across rows and end in a ragged tail; the right
+    # part runs from under one byte to the whole of a narrow field; and the
+    # scan's chunks of a few points make most draws span several chunks.
     field = FieldSpec(w)
-    d = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(1, min(16, field.order // d)))
-    log2_s = data.draw(st.integers(0, min(w, 6)))
+    most = min(60, field.order)
+    d = data.draw(st.sampled_from([d for d in (1, 7, 24, 52) if d <= most]) | st.integers(1, most))
+    m = data.draw(st.integers(1, min(24, field.order // d)))
+    widest = min(w, 16)
+    log2_s = data.draw(st.sampled_from([0, 1, 2, widest]) | st.integers(0, widest))
     params = toy_params(m, 1 << log2_s, d, Fraction(1, 2))
-    coeffs = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1, max_size=6))
     g = SeededGraph(params, PolySeed(tuple(coeffs), field))
     nbytes = ((1 << log2_s) + 7) >> 3
-    marked = Bitmap(params.s, data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    if nbytes <= 8:
+        stored = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
+    else:
+        stored = random.Random(data.draw(st.integers(0, 1 << 32))).randbytes(nbytes)
+    marked = Bitmap(params.s, stored)
     rows = data.draw(st.lists(st.integers(0, m - 1), max_size=30))
     monkeypatch.setattr(reduction, "SCAN_CHUNK_POINTS", data.draw(st.integers(1, 12)))
     counts = slot_overlap_counts(g, marked, rows)
     assert counts.dtype == np.int64
-    assert counts.tolist() == [probe_overlap(g, v, marked) for v in rows]
+    assert counts.tolist() == reduction.scan_overlap_counts(g, marked, rows).tolist()
+    scalar = {v: probe_overlap(g, v, marked) for v in set(rows)}
+    assert counts.tolist() == [scalar[v] for v in rows]
 
 
 def test_strong_reduction_empty_set():
