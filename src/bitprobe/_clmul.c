@@ -9,15 +9,16 @@
  *
  * A product depends on the one before it, so the bulk loop runs LANES
  * points side by side: the multiplier then works on independent chains
- * instead of waiting out each product's latency.  horner and count are the
- * only places that branch on the width; a single point runs through horner
- * with n = 1.
+ * instead of waiting out each product's latency.  horner alone branches on
+ * the width, and eval_all alone fills the lanes; a single point runs through
+ * horner with n = 1.
  *
  * count fuses the acceptance test of a seeded graph into the same loop: for
- * each left vertex r it evaluates the points r*d + i (i < d), masks each
- * value by top = s - 1 and adds up the bits that the masks name in a packed
- * bitmap (bit b is byte b >> 3 at position b & 7, the layout of a scheme
- * file).  No point array or neighbor table is built.
+ * each left vertex r it streams the points r*d + i (i < d) through horner,
+ * one on-stack block of LANES points at a time, masks each value by
+ * top = s - 1 and adds up the bits that the masks name in a packed bitmap
+ * (bit b is byte b >> 3 at position b & 7, the layout of a scheme file).
+ * No neighbor table is built, and only one block of points is held.
  *
  * The module section at the end makes this file the CPython extension that
  * _clmul.py builds with gcc -O2 against the interpreter's headers.  Only the
@@ -103,48 +104,43 @@ static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, 
 
 /* out[r] = how many of the points rows[r]*d + i, i < d, evaluate to a value
  * v with bit v & top set in packed, for r < n.  The points of consecutive
- * rows run through the lanes as one stream, so every group of LANES points
- * but the last is full whatever d is. */
-KERNEL void count_all(const uint64_t *coeffs, size_t k, const uint64_t *rows, uint64_t *out,
-                      size_t n, uint64_t d, uint64_t top, const uint8_t *packed,
-                      int w, uint64_t mask, int wide)
+ * rows fill blocks of LANES as one stream, so every block but the last is
+ * full whatever d is; horner evaluates a block, and a second walk of the
+ * same (row, slot) stream sums each row's bits in a register and adds the
+ * sum to out[r] where the row or the block ends. */
+static PCLMUL void count(const uint64_t *coeffs, size_t k, const uint64_t *rows, uint64_t *out,
+                         size_t n, uint64_t d, uint64_t top, const uint8_t *packed,
+                         int w, uint64_t mask)
 {
     uint64_t xs[LANES], ys[LANES];
-    size_t owner[LANES];
     size_t r = 0;
     uint64_t i = 0;
     for (size_t j = 0; j < n; j++)
         out[j] = 0;
     while (r < n) {
-        size_t lanes = 0;
-        for (; lanes < LANES && r < n; lanes++) {
-            xs[lanes] = rows[r] * d + i;
-            owner[lanes] = r;
+        size_t owner = r, len = 0;
+        uint64_t slot = i;
+        for (; len < LANES && r < n; len++) {
+            xs[len] = rows[r] * d + i;
             if (++i == d) {
                 i = 0;
                 r++;
             }
         }
-        if (lanes == LANES)
-            eval(coeffs, k, xs, ys, w, mask, LANES, wide);
-        else
-            for (size_t l = 0; l < lanes; l++)
-                eval(coeffs, k, xs + l, ys + l, w, mask, 1, wide);
-        for (size_t l = 0; l < lanes; l++) {
+        horner(coeffs, k, xs, ys, len, w, mask);
+        uint64_t hits = 0;
+        for (size_t l = 0; l < len; l++) {
             uint64_t b = ys[l] & top;
-            out[owner[l]] += packed[b >> 3] >> (b & 7) & 1;
+            hits += packed[b >> 3] >> (b & 7) & 1;
+            if (++slot == d) {
+                out[owner++] += hits;
+                hits = 0;
+                slot = 0;
+            }
         }
+        if (hits)
+            out[owner] += hits;
     }
-}
-
-static PCLMUL void count(const uint64_t *coeffs, size_t k, const uint64_t *rows, uint64_t *out,
-                         size_t n, uint64_t d, uint64_t top, const uint8_t *packed,
-                         int w, uint64_t mask)
-{
-    if (w == 64)
-        count_all(coeffs, k, rows, out, n, d, top, packed, w, mask, 1);
-    else
-        count_all(coeffs, k, rows, out, n, d, top, packed, w, mask, 0);
 }
 
 /* ------------------------------------------------------------------------
@@ -220,7 +216,7 @@ static int get_width(PyObject *obj, int *w)
     return 0;
 }
 
-static PyObject *py_horner(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *py_horner(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer coeffs, xs, out;
     int w;
@@ -253,7 +249,7 @@ static PyObject *py_horner(PyObject *module, PyObject *const *args, Py_ssize_t n
     Py_RETURN_NONE;
 }
 
-static PyObject *py_horner1(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *py_horner1(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer coeffs;
     uint64_t x, mask;
@@ -295,7 +291,7 @@ static int check_count_args(const Py_buffer *rows, const Py_buffer *out, uint64_
     return 0;
 }
 
-static PyObject *py_count(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer coeffs, rows, out, packed;
     uint64_t d, top, mask;
@@ -341,7 +337,8 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_clmul_ext", "The compiled Horner loop; see _clmul.py.", -1, methods,
+    PyModuleDef_HEAD_INIT, .m_name = "_clmul_ext",
+    .m_doc = "The compiled Horner loop; see _clmul.py.", .m_size = -1, .m_methods = methods,
 };
 
 PyMODINIT_FUNC PyInit__clmul_ext(void)

@@ -114,22 +114,18 @@ def _output(path):
 
 
 def cmd_build(args) -> int:
-    try:
-        if not 0 <= args.master_seed < 1 << 64:
-            raise ValueError(f"--master-seed {args.master_seed} outside [0, 2^64)")
-        A = _read_set_file(args.set_file, 1 << args.universe_bits)
-        kwargs = dict(n_cap=args.n_cap, indep_k=args.indep_k,
-                      master_seed=args.master_seed, max_retries=args.max_retries,
-                      field=FieldSpec(args.field_width))
-        t0 = time.perf_counter()
-        scheme = _ENCODERS[args.kind](A, args.universe_bits, args.eps, **kwargs)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        data = storage.save(scheme)
-        with open(args.output, "wb") as fh:
-            fh.write(data)
-    except (ValueError, OSError, RetriesExhausted, MemoryError) as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return EXIT_ENCODE_FAILURE
+    if not 0 <= args.master_seed < 1 << 64:
+        raise ValueError(f"--master-seed {args.master_seed} outside [0, 2^64)")
+    A = _read_set_file(args.set_file, 1 << args.universe_bits)
+    kwargs = dict(n_cap=args.n_cap, indep_k=args.indep_k,
+                  master_seed=args.master_seed, max_retries=args.max_retries,
+                  field=FieldSpec(args.field_width))
+    t0 = time.perf_counter()
+    scheme = _ENCODERS[args.kind](A, args.universe_bits, args.eps, **kwargs)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    data = storage.save(scheme)
+    with open(args.output, "wb") as fh:
+        fh.write(data)
     fields = (f"bitmap_bits={scheme.bitmap_bits} cache_bits={scheme.cache_bits} "
               f"retries_used={scheme.retries}")
     if len(scheme.stages) > 1:
@@ -150,13 +146,9 @@ def _format_rate(rate: Fraction) -> str:
 def cmd_query(args) -> int:
     x = args.element
     rng = random.Random(args.master_seed)
-    try:
-        scheme = _load_scheme(args.scheme_file)
-        probes = draw_probes(rng, len(scheme.stages), scheme.params.d)
-        positions = [neighbor(st.graph, x, i) for st, i in zip(scheme.stages, probes)]
-    except (ValueError, OSError, storage.SchemeFileError) as exc:
-        print(f"query failed: {exc}", file=sys.stderr)
-        return EXIT_ENCODE_FAILURE
+    scheme = _load_scheme(args.scheme_file)
+    probes = draw_probes(rng, len(scheme.stages), scheme.params.d)
+    positions = [neighbor(st.graph, x, i) for st, i in zip(scheme.stages, probes)]
     answer = all(st.bitmap.get(w) for st, w in zip(scheme.stages, positions))
     index, position = "probe_index", "bit_position"
     if len(probes) > 1:
@@ -191,22 +183,12 @@ def _write_profile(profile, out) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        budget = _env_budget()
-        scheme = _load_scheme(args.scheme_file)
-        A = _read_set_file(args.set_file, scheme.params.m)
-        profile = error_profile(scheme, A, budget)
-        with _output(args.output) as out:
-            _write_profile(profile, out)
-    except BudgetExceeded as exc:
-        print(f"verify aborted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET_EXCEEDED
-    except KernelMismatch as exc:
-        print(f"verify failed: {exc}", file=sys.stderr)
-        return EXIT_GUARANTEE_VIOLATED
-    except (ValueError, OSError, storage.SchemeFileError) as exc:
-        print(f"verify failed: {exc}", file=sys.stderr)
-        return EXIT_ENCODE_FAILURE
+    budget = _env_budget()
+    scheme = _load_scheme(args.scheme_file)
+    A = _read_set_file(args.set_file, scheme.params.m)
+    profile = error_profile(scheme, A, budget)
+    with _output(args.output) as out:
+        _write_profile(profile, out)
     ok = profile.holds
     print(f"false_negatives={profile.false_negative_count} "
           f"max_member_error={_format_rate(profile.max_member_error)} "
@@ -257,23 +239,19 @@ def _bench_cell(u, n, eps, kind, args, budget):
 
 def cmd_bench(args) -> int:
     violated = False
-    try:
-        budget = _env_budget()
-        with _output(args.output) as out:
-            writer = csv.writer(out)
-            writer.writerow(BENCH_COLUMNS)
-            for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
-                try:
-                    row = _bench_cell(u, n, eps, args.kind, args, budget)
-                except (ValueError, RetriesExhausted, BudgetExceeded, KernelMismatch,
-                        MemoryError) as exc:
-                    row = [u, n, _format_rate(eps), args.kind] + [""] * 8
-                    row += [f"{type(exc).__name__}"]
-                violated |= row[-1] in ("violated", KernelMismatch.__name__)
-                writer.writerow(row)
-    except (ValueError, OSError) as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return EXIT_ENCODE_FAILURE
+    budget = _env_budget()
+    with _output(args.output) as out:
+        writer = csv.writer(out)
+        writer.writerow(BENCH_COLUMNS)
+        for u, n, eps in itertools.product(args.u_list, args.n_list, args.eps_list):
+            try:
+                row = _bench_cell(u, n, eps, args.kind, args, budget)
+            except (ValueError, RetriesExhausted, BudgetExceeded, KernelMismatch,
+                    MemoryError) as exc:
+                row = [u, n, _format_rate(eps), args.kind] + [""] * 8
+                row += [f"{type(exc).__name__}"]
+            violated |= row[-1] in ("violated", KernelMismatch.__name__)
+            writer.writerow(row)
     return EXIT_GUARANTEE_VIOLATED if violated else EXIT_OK
 
 
@@ -345,8 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps its exceptions to exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET_EXCEEDED
+    except KernelMismatch as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_GUARANTEE_VIOLATED
+    except (ValueError, OSError, MemoryError, RetriesExhausted, storage.SchemeFileError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_ENCODE_FAILURE
 
 
 def entry() -> None:

@@ -238,8 +238,9 @@ def overlap_counts(seed: PolySeed, rows: np.ndarray, d: int, s: int, packed):
     """Per left vertex r of the contiguous int64 array rows, how many of
     the points r*d + i (i < d) evaluate to a value whose low log2(s) bits
     name a set bit of the LSB-first bytes packed: the compiled loop's fused
-    count, in one pass with no point array.  None where the compiled loop
-    cannot run, and the caller counts on the numpy route."""
+    count, which holds one block of points at a time and no neighbor table.
+    None where the compiled loop cannot run, and the caller counts on the
+    numpy route."""
     lib = _clmul._lib()
     if lib is None:
         return None

@@ -14,6 +14,12 @@ drawn by an rng keyed by the seed, cross-check them before the count:
 - left vertices, counted by ``slot_overlap_counts`` (the compiled fused
   count where it runs) and again by ``reduction.scan_overlap_counts``,
   the edge scan and a numpy bit test.
+
+On the compiled route the fused count evaluates through the very
+``horner`` loop that the edge sample checks, and the count sample checks
+its walk over the rows, mask and bit test.  On the numpy route
+``slot_overlap_counts`` is ``scan_overlap_counts``: the count sample
+compares the scan with itself, and only the edge sample checks a kernel.
 """
 
 import random
@@ -90,7 +96,8 @@ def _check_samples(g: SeededGraph, marked, stage: int) -> None:
     ``reference_block`` (a route the scan does not take), and then
     ``COUNT_SAMPLES`` left vertices count the same slots on set bits of
     ``marked`` through ``slot_overlap_counts`` as through
-    ``scan_overlap_counts``."""
+    ``scan_overlap_counts``.  On the numpy route those are one counter,
+    and only the edge sample checks a kernel."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)

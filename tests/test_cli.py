@@ -378,6 +378,20 @@ def test_malformed_budget_fails_as_bad_input(tmp_path, capsys, monkeypatch, raw,
     assert not csv_path.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("command", ["query", "verify"])
+def test_out_of_memory_fails_as_bad_input(tmp_path, capsys, monkeypatch, command):
+    # exit 1 means a violated guarantee, which running out of memory is not
+    out, _ = build(tmp_path, [1, 2], capsys, u=6)
+
+    def load(data):
+        raise MemoryError("no room for the scheme")
+
+    monkeypatch.setattr(storage, "load", load)
+    argv = {"query": ["query", out, "1"], "verify": ["verify", out, write_set(tmp_path, [1, 2])]}
+    assert main(argv[command]) == 2
+    assert capsys.readouterr().err == f"{command} failed: no room for the scheme\n"
+
+
 @pytest.mark.parametrize("command", ["build", "verify", "bench"])
 def test_unwritable_output_fails_as_bad_input(tmp_path, capsys, command):
     out, _ = build(tmp_path, [1, 2], capsys, u=6)

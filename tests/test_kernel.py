@@ -59,6 +59,14 @@ def test_kernel_loads_where_gcc_is_installed():
     assert _clmul._lib() is not None
 
 
+@can_build
+def test_kernel_source_compiles_without_warnings():
+    check = subprocess.run(["gcc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+                            "-I" + sysconfig.get_path("include"), str(_clmul._SOURCE)],
+                           capture_output=True, text=True)
+    assert check.returncode == 0, check.stderr
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())

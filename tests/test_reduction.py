@@ -69,12 +69,17 @@ def test_probe_overlap_trivials():
 def test_slot_overlap_counts_equals_the_scalar_count(w, route, data, monkeypatch):
     # Any seed and any stored bytes; rows unordered, repeated or none.  The
     # compiled loop runs 8 points side by side, so degrees off multiples of
-    # 8 (7, 52) carry a run across rows and end in a ragged tail; the right
-    # part runs from under one byte to the whole of a narrow field; and the
-    # scan's chunks of a few points make most draws span several chunks.
+    # 8 (7, 52) carry a run across rows and end in a ragged tail; a degree
+    # of 300 keeps a row longer than the compiled count's block of points
+    # (8 today) for any block up to 256 (a few rows keep the pure-Python
+    # reference quick);
+    # the right part runs from under one byte to the whole of a narrow
+    # field; and the scan's chunks of a few points make most draws span
+    # several chunks.
     field = FieldSpec(w)
     most = min(60, field.order)
-    d = data.draw(st.sampled_from([d for d in (1, 7, 24, 52) if d <= most]) | st.integers(1, most))
+    degrees = [d for d in (1, 7, 24, 52) if d <= most] + [300] * (w >= 16)
+    d = data.draw(st.sampled_from(degrees) | st.integers(1, most))
     m = data.draw(st.integers(1, min(24, field.order // d)))
     widest = min(w, 16)
     log2_s = data.draw(st.sampled_from([0, 1, 2, widest]) | st.integers(0, widest))
@@ -87,7 +92,7 @@ def test_slot_overlap_counts_equals_the_scalar_count(w, route, data, monkeypatch
     else:
         stored = random.Random(data.draw(st.integers(0, 1 << 32))).randbytes(nbytes)
     marked = Bitmap(params.s, stored)
-    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=30))
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=30 if d <= most else 4))
     monkeypatch.setattr(reduction, "SCAN_CHUNK_POINTS", data.draw(st.integers(1, 12)))
     counts = slot_overlap_counts(g, marked, rows)
     assert counts.dtype == np.int64
