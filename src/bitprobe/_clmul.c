@@ -20,6 +20,14 @@
  * (bit b is byte b >> 3 at position b & 7, the layout of a scheme file).
  * No neighbor table is built, and only one block of points is held.
  *
+ * The module's count releases the GIL, and above MIN_STEPS point-steps
+ * (rows x d x k) per worker it splits its rows into contiguous runs, one
+ * per CPU of the process's affinity mask and at most MAX_WORKERS, each on
+ * its own pthread; the calling thread takes the first run and joins the
+ * rest before it returns.  A run starts and ends on a row boundary, so no
+ * row's count depends on the split.  horner and horner1 keep the GIL: the
+ * single-point query path pays nothing for threads.
+ *
  * The module section at the end makes this file the CPython extension that
  * _clmul.py builds with gcc -O2 against the interpreter's headers.  Only the
  * functions marked with the pclmul target use the instruction, so the init
@@ -30,10 +38,14 @@
 
 #include <cpuid.h>
 #include <immintrin.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
 
 #define LANES 8
+#define MAX_WORKERS 4
+#define MIN_STEPS (1 << 19) /* point-steps that each worker of a split count gets at least */
 #define PCLMUL __attribute__((target("pclmul")))
 #define KERNEL static inline __attribute__((always_inline, target("pclmul")))
 
@@ -140,6 +152,67 @@ static PCLMUL void count(const uint64_t *coeffs, size_t k, const uint64_t *rows,
         }
         if (hits)
             out[owner] += hits;
+    }
+}
+
+/* One contiguous run of count's rows, as a thread takes it. */
+struct run {
+    const uint64_t *coeffs, *rows;
+    uint64_t *out;
+    size_t k, n;
+    uint64_t d, top, mask;
+    const uint8_t *packed;
+    int w;
+};
+
+static void *count_run(void *arg)
+{
+    const struct run *a = arg;
+    count(a->coeffs, a->k, a->rows, a->out, a->n, a->d, a->top, a->packed, a->w, a->mask);
+    return NULL;
+}
+
+/* How many runs the rows of all split into: one per CPU of the affinity
+ * mask, at most MAX_WORKERS and at most one per row, while every run keeps
+ * MIN_STEPS point-steps.  Below two runs' worth the mask is not read. */
+static size_t runs_for(const struct run *all)
+{
+    double steps = (double)all->n * (double)all->d * (double)all->k;
+    if (steps < 2.0 * MIN_STEPS)
+        return 1;
+    cpu_set_t cpus;
+    size_t runs = sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? (size_t)CPU_COUNT(&cpus) : 1;
+    if (runs > MAX_WORKERS)
+        runs = MAX_WORKERS;
+    while (runs > 1 && (runs > all->n || steps < (double)runs * MIN_STEPS))
+        runs--;
+    return runs ? runs : 1;
+}
+
+/* count over all its rows, split by runs_for: the caller counts the first
+ * run while a thread counts each other one, and joins them all.  A run
+ * whose thread does not start is counted by the caller afterwards. */
+static void count_split(const struct run *all)
+{
+    struct run part[MAX_WORKERS];
+    pthread_t thread[MAX_WORKERS];
+    int started[MAX_WORKERS] = {0};
+    size_t runs = runs_for(all);
+    for (size_t p = 0; p < runs; p++) {
+        size_t lo = all->n * p / runs, hi = all->n * (p + 1) / runs;
+        part[p] = *all;
+        part[p].rows += lo;
+        part[p].out += lo;
+        part[p].n = hi - lo;
+    }
+    for (size_t p = 1; p < runs; p++)
+        started[p] = pthread_create(&thread[p], NULL, count_run, &part[p]) == 0;
+    count_run(&part[0]);
+    for (size_t p = 1; p < runs; p++) {
+        if (started[p])
+            pthread_join(thread[p], NULL);
+        else
+            count_run(&part[p]);
     }
 }
 
@@ -310,9 +383,15 @@ static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py
         if (get_words(args[2], &out, PyBUF_WRITABLE, INT64_ARRAY, "out") == 0) {
             if (PyObject_GetBuffer(args[5], &packed, PyBUF_SIMPLE) == 0) {
                 bad = check_count_args(&rows, &out, d, top, packed.len, w);
-                if (!bad)
-                    count(coeffs.buf, (size_t)coeffs.len / 8, rows.buf, out.buf,
-                          (size_t)rows.len / 8, d, top, packed.buf, w, mask);
+                if (!bad) {
+                    struct run all = {
+                        .coeffs = coeffs.buf, .k = (size_t)coeffs.len / 8, .rows = rows.buf,
+                        .out = out.buf, .n = (size_t)rows.len / 8, .d = d, .top = top,
+                        .packed = packed.buf, .w = w, .mask = mask};
+                    Py_BEGIN_ALLOW_THREADS
+                    count_split(&all);
+                    Py_END_ALLOW_THREADS
+                }
                 PyBuffer_Release(&packed);
             }
             PyBuffer_Release(&out);

@@ -1,15 +1,18 @@
 """Build and load the compiled Horner loop of ``_clmul.c``.
 
 The C file is a CPython extension module.  Nothing happens at import: the
-first call of :func:`_lib` compiles it with plain ``gcc -O2 -shared -fPIC``
-against the running interpreter's headers into
+first call of :func:`_lib` compiles it with plain
+``gcc -O2 -shared -fPIC -pthread`` against the running interpreter's
+headers into
 ``${XDG_CACHE_HOME:-~/.cache}/bitprobe/clmul-<sha256><EXT_SUFFIX>``, unless
 that file is already there, and loads it with
 ``importlib.machinery.ExtensionFileLoader``.  The hash covers the source,
 the flags and the interpreter's ``EXT_SUFFIX``, so an edit builds a new
 file and a library built for one interpreter ABI never loads in another.
 A build goes to a temporary file that ``os.replace`` publishes, so
-processes building at once each load a whole library.
+processes building at once each load a whole library.  A lock makes
+threads that call :func:`_lib` at once for the first time take turns, so
+the first builds and loads while the others wait for it.
 
 Off x86-64, where the C file does not compile, nothing is built.  There,
 and wherever gcc, the Python headers or a writable cache is missing, or
@@ -21,14 +24,18 @@ no setting does, so the route depends only on what the machine has.
 import functools
 import os
 import sysconfig
+import threading
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_clmul.c")
 _MODULE = "bitprobe._clmul_ext"  # the name PyInit__clmul_ext registers
+# Python 3.11's sysconfig publishes its config dict before it fills it, so a
+# second thread may read EXT_SUFFIX as None while the first loads.
+_FIRST_LOAD = threading.Lock()
 
 
 def _flags() -> tuple:
-    return ("-O2", "-shared", "-fPIC", "-I" + sysconfig.get_path("include"))
+    return ("-O2", "-shared", "-fPIC", "-pthread", "-I" + sysconfig.get_path("include"))
 
 
 def _cached_path() -> Path:
@@ -70,15 +77,17 @@ def _shared_object() -> Path:
 @functools.cache
 def _lib():
     """The loaded extension module, or None when the compiled route cannot
-    run here."""
+    run here.  Threads that miss the cache at once load one at a time."""
     import importlib.util
     import platform
     from importlib.machinery import ExtensionFileLoader
 
-    if platform.machine() not in ("x86_64", "AMD64"):
-        return None
-    try:
-        loader = ExtensionFileLoader(_MODULE, str(_shared_object()))
-        return importlib.util.module_from_spec(importlib.util.spec_from_loader(_MODULE, loader))
-    except (ImportError, OSError):
-        return None
+    with _FIRST_LOAD:
+        if platform.machine() not in ("x86_64", "AMD64"):
+            return None
+        try:
+            loader = ExtensionFileLoader(_MODULE, str(_shared_object()))
+            spec = importlib.util.spec_from_loader(_MODULE, loader)
+            return importlib.util.module_from_spec(spec)
+        except (ImportError, OSError):
+            return None

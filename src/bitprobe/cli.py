@@ -70,6 +70,9 @@ def _parse_seed(text: str) -> int:
 
 # u is at most the widest field's width: edge indices are field elements.
 _parse_universe_bits = _parse_count(1, max(FIELD_WIDTHS))
+# --indep-k's warning; see gf.draw_seed.
+_AFFINE_K = ("k <= 3 makes the neighbor map affine over GF(2), and no such seed "
+             "has been seen to pass acceptance")
 
 
 def _parse_list(item):
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--max-retries", type=_parse_count(1), default=DEFAULT_MAX_RETRIES,
                          help=f"candidate seeds per stage (default: {DEFAULT_MAX_RETRIES})")
     p_build.add_argument("--indep-k", type=_parse_count(1), default=None,
-                         help="hash independence order (default: u^2)")
+                         help=f"hash independence order (default: u^2); {_AFFINE_K}")
     p_build.add_argument("--field-width", type=_parse_count(0), default=64,
                          choices=FIELD_WIDTHS, help="field width in bits (default: 64)")
     p_build.set_defaults(func=cmd_build)
@@ -312,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kind", choices=tuple(_ENCODERS), default="one")
     p_bench.add_argument("--trials", type=_parse_count(1), default=3,
                          help="builds per cell (default: 3)")
-    p_bench.add_argument("--indep-k", type=_parse_count(1), default=None)
+    p_bench.add_argument("--indep-k", type=_parse_count(1), default=None,
+                         help=f"hash independence order (default: u^2); {_AFFINE_K}")
     p_bench.add_argument("--field-width", type=_parse_count(0), default=64,
                          choices=FIELD_WIDTHS)
     p_bench.add_argument("--master-seed", type=_parse_seed, default=0)

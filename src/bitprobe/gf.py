@@ -30,14 +30,15 @@ coefficient bytes, width and mask that the seed caches once:
 - ``poly_eval`` hands it one point;
 - ``overlap_counts`` hands it left vertices and a packed bitmap, and gets
   back each vertex's count of probe slots on set bits, evaluated and
-  tested in one loop.
+  tested in one loop with the GIL released.
 
 Where the machine cannot run it, the first two fall back to a numpy
 bit-split Horner (``_numpy_block``) and a pure-Python one (``_horner``),
 and ``overlap_counts`` gives None, so that ``reduction`` counts on its
-numpy edge scan.  ``reference_block`` evaluates on the route that
-``poly_eval_block`` does not take, so that the oracle can check it.  Every
-route rejects a point outside the field before it evaluates.
+numpy edge scan.  ``compiled`` tells which route runs.
+``reference_block`` evaluates on the route that ``poly_eval_block`` does
+not take, so that the oracle can check it.  Every route rejects a point
+outside the field before it evaluates.
 """
 
 from dataclasses import dataclass
@@ -250,12 +251,18 @@ def overlap_counts(seed: PolySeed, rows: np.ndarray, d: int, s: int, packed):
     return out
 
 
+def compiled() -> bool:
+    """Whether the compiled loop runs here.  Its ``overlap_counts`` then
+    releases the GIL, so another thread's Python runs beside it."""
+    return _clmul._lib() is not None
+
+
 def reference_block(seed: PolySeed, xs) -> tuple:
     """(route name, values): poly_eval_block evaluated on the route that it
     does not take here, numpy under the compiled loop and pure Python under
     the numpy fallback."""
     xs = _field_points(seed, xs)
-    if _clmul._lib() is not None:
+    if compiled():
         return "numpy", _numpy_block(seed, xs)
     w = seed.field.width_bits
     values = [_horner(seed.coeffs, x, w) for x in xs.ravel().tolist()]
@@ -293,7 +300,11 @@ def default_indep_k(universe_bits: int) -> int:
 
 def draw_seed(rng, indep_k: int, field: FieldSpec = GF2_64) -> PolySeed:
     """Draw the next seed from ``rng`` (anything with ``getrandbits``):
-    coefficient j takes bits [j*b, (j+1)*b) of one getrandbits call."""
+    coefficient j takes bits [j*b, (j+1)*b) of one getrandbits call.
+
+    With indep_k <= 3 the polynomial has degree at most 2, and squaring is
+    GF(2)-linear, so the neighbor map is affine over GF(2) in the bits of
+    the edge index; no such seed has been seen to pass acceptance."""
     w = field.width_bits
     most = ((1 << 31) - 1) // w  # getrandbits takes a C int
     if not 1 <= indep_k <= most:

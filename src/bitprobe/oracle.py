@@ -7,7 +7,7 @@ against its stored Bitmap as it is.
 
 The encoder and the oracle share one evaluation kernel and one counter, so
 a fault in either would otherwise certify itself.  Two samples per stage,
-drawn by an rng keyed by the seed, cross-check them before the count:
+drawn by an rng keyed by the seed, cross-check them:
 
 - edge indices, evaluated by the edge scan's ``poly_eval_block`` and again
   by ``gf.reference_block`` on a route that the scan does not take;
@@ -20,15 +20,23 @@ On the compiled route the fused count evaluates through the very
 its walk over the rows, mask and bit test.  On the numpy route
 ``slot_overlap_counts`` is ``scan_overlap_counts``: the count sample
 compares the scan with itself, and only the edge sample checks a kernel.
+
+Every stage's full count runs on one worker thread.  The compiled count
+releases the GIL, so there the calling thread checks the samples
+meanwhile; the numpy scan would only contend for the GIL, so there the
+samples wait for the count.  No count is used until every sample has
+passed, and the worker is joined before ``error_profile`` returns or
+raises.
 """
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf import poly_eval_block, reference_block
+from .gf import compiled, poly_eval_block, reference_block
 from .graph import SeededGraph
 from .reduction import scan_overlap_counts, slot_overlap_counts
 from .scheme import Scheme
@@ -127,7 +135,11 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     The product is exact in int64: derived sizing has 2 d^2 n_cap <= s
     <= 2^64, so d^2 < 2^63.  Each stage's edge scan and count are first
     cross-checked on samples (see ``_check_samples``); a disagreement
-    raises KernelMismatch.
+    raises KernelMismatch.  The full counts of all stages run on a worker
+    thread, beside this thread's sample checks on the compiled route, and
+    none is used until every sample has passed.  A sample's
+    KernelMismatch, or else whatever the count raised, is raised once the
+    worker has ended.
     """
     p = sch.params
     stages = len(sch.stages)
@@ -141,10 +153,28 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
         raise ValueError(f"element out of range [0, {p.m})")
 
     rows = np.arange(p.m, dtype=np.int64)
+    counts, failed = [], []
+
+    def count_stages():
+        try:
+            counts.extend(slot_overlap_counts(st.graph, st.bitmap, rows) for st in sch.stages)
+        except BaseException as e:  # handed to the calling thread, which raises it
+            failed.append(e)
+
+    worker = threading.Thread(target=count_stages, name="error_profile count")
+    worker.start()
+    try:
+        if not compiled():  # the numpy scan holds the GIL too, and would only contend
+            worker.join()
+        for number, st in enumerate(sch.stages, 1):
+            _check_samples(st.graph, st.bitmap, number)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     answered_true = np.ones(p.m, dtype=np.int64)
-    for number, st in enumerate(sch.stages, 1):
-        _check_samples(st.graph, st.bitmap, number)
-        answered_true *= slot_overlap_counts(st.graph, st.bitmap, rows)
+    for stage_counts in counts:
+        answered_true *= stage_counts
     denominator = p.d ** stages
     member = np.zeros(p.m, dtype=bool)
     member[A] = True

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import re
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitprobe import _clmul, cli, gf, graph, scheme_one, storage
+from bitprobe import _clmul, cli, gf, graph, oracle, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
@@ -353,6 +355,40 @@ def test_verify_fails_when_the_numpy_route_disagrees_with_pure_python(tmp_path, 
     assert re.fullmatch(r"verify failed: stage 1: edge index \d+ evaluates to \d+ in the edge "
                         r"scan but to \d+ on the pure-Python route\n", err), err
     assert not csv_path.exists()
+
+
+@on_both_routes("fault", ["sample", "count", "both"])
+def test_a_failing_verify_joins_its_count_thread(tmp_path, capsys, monkeypatch, fault, route):
+    # the oracle counts on a thread beside the samples: a sample's mismatch
+    # wins, a count's own error surfaces as it is, and no thread outlives it
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+    reference_block, slot_overlap_counts = oracle.reference_block, oracle.slot_overlap_counts
+
+    def flip_first_point(seed, xs):
+        name, values = reference_block(seed, xs)
+        values[:1] ^= np.uint64(1)
+        return name, values
+
+    def slow_count(g, marked, rows):
+        if len(rows) == g.params.m:  # the full count, not a sample's
+            time.sleep(0.05)  # still running when the samples fail
+            if fault != "sample":
+                raise MemoryError("no room for the counts")
+        return slot_overlap_counts(g, marked, rows)
+
+    if fault != "count":
+        monkeypatch.setattr(oracle, "reference_block", flip_first_point)
+    monkeypatch.setattr(oracle, "slot_overlap_counts", slow_count)
+    threads = threading.active_count()
+    rc = main(["verify", out, write_set(tmp_path, [3, 17, 40, 58])])
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    if fault == "count":
+        assert (rc, err) == (2, "verify failed: no room for the counts\n")
+    else:
+        assert rc == 1
+        assert re.fullmatch(r"verify failed: stage 1: edge index \d+ evaluates to \d+ in the "
+                            r"edge scan but to \d+ on the [a-zP-]+ route\n", err), err
 
 
 def test_verify_budget_exceeded(tmp_path, capsys, monkeypatch):

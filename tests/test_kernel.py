@@ -61,9 +61,10 @@ def test_kernel_loads_where_gcc_is_installed():
 
 @can_build
 def test_kernel_source_compiles_without_warnings():
-    check = subprocess.run(["gcc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
-                            "-I" + sysconfig.get_path("include"), str(_clmul._SOURCE)],
-                           capture_output=True, text=True)
+    # under the flags of the real build, less those that only shape the output
+    flags = [f for f in _clmul._flags() if f not in ("-shared", "-fPIC")]
+    check = subprocess.run(["gcc", *flags, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+                            str(_clmul._SOURCE)], capture_output=True, text=True)
     assert check.returncode == 0, check.stderr
 
 
@@ -194,6 +195,30 @@ def test_two_processes_building_at_once_share_one_library(tmp_path):
     assert library.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
 
 
+@can_build
+def test_threads_loading_at_once_all_get_the_module():
+    # the first call sets up sysconfig lazily, which a second thread must
+    # not see half done; the cache is warm, so no thread builds
+    assert _clmul._lib() is not None
+    script = ("import threading\n"
+              "from bitprobe import _clmul\n"
+              "start = threading.Barrier(4)\n"
+              "loaded = []\n"
+              "def load():\n"
+              "    start.wait()\n"
+              "    loaded.append(_clmul._lib() is not None)\n"
+              "threads = [threading.Thread(target=load) for _ in range(4)]\n"
+              "for t in threads:\n"
+              "    t.start()\n"
+              "for t in threads:\n"
+              "    t.join(60)\n"
+              "print(loaded, [t.is_alive() for t in threads])\n")
+    child = subprocess.run([sys.executable, "-c", script], env=child_env(), text=True,
+                           capture_output=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"{[True] * 4} {[False] * 4}\n", child.stderr
+
+
 def compiled_lib():
     lib = _clmul._lib()
     if lib is None:
@@ -259,6 +284,48 @@ def test_count_takes_int64_rows_and_the_last_row_that_fits():
     rows, out = np.array([0, 7], dtype=np.int64), np.full(2, 7, dtype=np.int64)
     lib.count(WORDS[:8], rows, out, 32, 63, PACKED, 8, 0x1B)  # row 7 ends at 255
     assert out.tolist() == [32, 32]  # the constant polynomial 1 reads bit 1 in every slot
+
+
+@can_build
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not Path("/proc/self/task").is_dir(),
+                    reason="no affinity mask or no /proc/self/task")
+def test_count_threads_follow_the_affinity_mask_and_end_with_the_call():
+    # a watcher lists the process's threads while a count of 2^12 rows x
+    # 64 slots x 100 coefficients runs with the GIL released: one worker
+    # per further CPU of the mask (at most 4 in all), none on a mask of one
+    # CPU, and none left once the count has returned (a joined thread
+    # leaves /proc/self/task a moment after its join)
+    script = ("import os, threading, time\n"
+              "import numpy as np\n"
+              "from bitprobe import _clmul\n"
+              "lib = _clmul._lib()\n"
+              "words = np.arange(1, 101, dtype=np.uint64)\n"
+              "rows, out = np.arange(1 << 12), np.empty(1 << 12, dtype=np.int64)\n"
+              "def threads():\n"
+              "    return len(os.listdir('/proc/self/task'))\n"
+              "def peak():\n"
+              "    base, seen, done = threads(), [], threading.Event()\n"
+              "    def watch():\n"
+              "        while not done.is_set():\n"
+              "            seen.append(threads())\n"
+              "    watcher = threading.Thread(target=watch)\n"
+              "    watcher.start()\n"
+              "    lib.count(words, rows, out, 64, 1023, bytes(128), 64, 0x1B)\n"
+              "    done.set()\n"
+              "    watcher.join(60)\n"
+              "    for _ in range(1000):\n"
+              "        if threads() == base:\n"
+              "            break\n"
+              "        time.sleep(0.001)\n"
+              "    return max(seen) - base - 1, threads() - base\n"
+              "many = peak()\n"
+              "os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])\n"
+              "print(many, peak())\n")
+    child = subprocess.run([sys.executable, "-c", script], env=child_env(), text=True,
+                           capture_output=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    workers = min(len(os.sched_getaffinity(0)), 4) - 1
+    assert child.stdout == f"{(workers, 0)} {(0, 0)}\n"
 
 
 @on_both_routes("x", [-1, 1 << 64])

@@ -1,12 +1,13 @@
 import itertools
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitprobe import scheme_one, scheme_two
+from bitprobe import oracle, scheme_one, scheme_two
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme, greedy_label
 from bitprobe.oracle import BudgetExceeded, error_profile
@@ -85,6 +86,33 @@ def test_profile_of_two_probe_scheme():
         if x in set(A):
             continue
         assert error_of(prof, x) == reference_rate(sch, x)
+
+
+@pytest.mark.parametrize("route", ["compiled", "numpy"], indirect=True)
+def test_samples_run_beside_the_count_only_where_it_releases_the_gil(route, monkeypatch):
+    # the numpy scan would only contend with the samples for the GIL, so
+    # there each stage's full count has ended before the samples start
+    A = [3, 40, 77, 100]
+    sch = scheme_two.encode(A, 7, Fraction(1, 4), indep_k=6, master_seed=8)
+    want = error_profile(sch, A).per_element.tolist()
+    count, check_samples = oracle.slot_overlap_counts, oracle._check_samples
+    sampling, seen = threading.Event(), []
+
+    def full_count(g, marked, rows):
+        if len(rows) == g.params.m:
+            if route == "compiled":
+                sampling.wait(10)
+            seen.append(sampling.is_set())
+        return count(g, marked, rows)
+
+    def samples(g, marked, stage):
+        sampling.set()
+        check_samples(g, marked, stage)
+
+    monkeypatch.setattr(oracle, "slot_overlap_counts", full_count)
+    monkeypatch.setattr(oracle, "_check_samples", samples)
+    assert error_profile(sch, A).per_element.tolist() == want
+    assert seen == [route == "compiled"] * 2
 
 
 def test_profile_of_bmrv_labeling_can_be_two_sided():

@@ -101,6 +101,27 @@ def test_slot_overlap_counts_equals_the_scalar_count(w, route, data, monkeypatch
     assert counts.tolist() == [scalar[v] for v in rows]
 
 
+# _clmul.c's count splits its rows over threads from two workers' worth of
+# 2^19 point-steps (rows x d x k) each: 1001 rows of degree 180 at k = 6 lie
+# just above that, of degree 174 just below, and 1001 rows split evenly
+# over no worker count up to 4.
+SPLIT_STEPS = 2 << 19
+
+
+@on_both_routes("w,d", [(64, 180), (32, 180), (64, 174)])
+def test_a_count_split_over_threads_equals_the_scan(w, d, route):
+    k, n = 6, 1001
+    assert (n * d * k >= SPLIT_STEPS) == (d == 180)
+    rng = random.Random(w * d)
+    field = FieldSpec(w)
+    params = toy_params(1 << 12, 1 << 12, d, Fraction(1, 2))
+    g = SeededGraph(params, PolySeed(tuple(rng.randrange(field.order) for _ in range(k)), field))
+    marked = Bitmap(params.s, rng.randbytes(params.s // 8))
+    rows = [rng.randrange(params.m) for _ in range(n)]  # unsorted, some repeated
+    counts = slot_overlap_counts(g, marked, rows)
+    assert counts.tolist() == reduction.scan_overlap_counts(g, marked, rows).tolist()
+
+
 def test_strong_reduction_empty_set():
     g = random_explicit_graph(random.Random(0), m=10, s=64, d=4)
     report = check_strong_reduction(g, [], Fraction(1, 2))
