@@ -4,8 +4,18 @@
  * mask is the reduction polynomial without its x^w term (see gf.py).  One
  * loop serves every width: a step takes one carry-less product of the
  * accumulator and the point, then folds the bits from w up back down by
- * two more products with mask, because x^w = mask.  For every supported
- * mask (degree at most 7) the second fold leaves nothing at or above w.
+ * products with mask, because x^w = mask.  For every supported mask
+ * (degree at most 7) a second fold leaves nothing at or above w.
+ *
+ * One fold is enough when every point is below 2^(w - deg(mask) + 1):
+ * 2^61 at w = 64, 2^26 at 32, 2^12 at 16, 2^5 at 8 and all of GF(2^3).
+ * For acc < 2^w and x < 2^b, the bits hi = (acc * x) >> w have degree at
+ * most b - 2, so hi * mask has degree at most b - 2 + deg(mask), which is
+ * below w exactly when b <= w - deg(mask) + 1; the second fold's input is
+ * then 0.  Edge indices r*d + i are below 2^17 in the benchmark's graphs;
+ * a graph whose m*d passes the bound takes two folds.  Each entry point
+ * takes the fold count once per call from its largest point (folds_for),
+ * and horner passes it down with the width.
  *
  * A product depends on the one before it, so the bulk loop runs LANES
  * points side by side: the multiplier then works on independent chains
@@ -55,24 +65,28 @@ static int cpu_has_pclmul(void)
     return __get_cpuid(1, &a, &b, &c, &d) && (c & bit_PCLMUL);
 }
 
-/* acc * x in the low quadword; the high quadword is left undefined. */
-KERNEL __m128i mul(__m128i acc, __m128i x, __m128i m, __m128i shift, __m128i low, int wide)
+/* acc * x in the low quadword, folded once or twice (folds); the high
+ * quadword is left undefined. */
+KERNEL __m128i mul(__m128i acc, __m128i x, __m128i m, __m128i shift, __m128i low, int wide,
+                   int folds)
 {
     __m128i p = _mm_clmulepi64_si128(acc, x, 0x00);
     if (wide) {  /* w = 64: the high quadword of p is what lies above w */
         __m128i t = _mm_clmulepi64_si128(p, m, 0x01);
-        __m128i u = _mm_clmulepi64_si128(t, m, 0x01);
-        return _mm_xor_si128(_mm_xor_si128(p, t), u);
+        p = _mm_xor_si128(p, t);
+        return folds == 1 ? p : _mm_xor_si128(p, _mm_clmulepi64_si128(t, m, 0x01));
     }
     p = _mm_xor_si128(_mm_and_si128(p, low),
                       _mm_clmulepi64_si128(_mm_srl_epi64(p, shift), m, 0x00));
+    if (folds == 1)
+        return p;
     return _mm_xor_si128(_mm_and_si128(p, low),
                          _mm_clmulepi64_si128(_mm_srl_epi64(p, shift), m, 0x00));
 }
 
 /* out[l] = the polynomial at xs[l] for l < lanes, all lanes in step. */
 KERNEL void eval(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
-                 int w, uint64_t mask, size_t lanes, int wide)
+                 int w, uint64_t mask, size_t lanes, int wide, int folds)
 {
     __m128i m = _mm_cvtsi64_si128((long long)mask);
     __m128i shift = _mm_cvtsi64_si128(w);
@@ -87,7 +101,7 @@ KERNEL void eval(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t 
         __m128i c = _mm_cvtsi64_si128((long long)coeffs[j]);
 #pragma GCC unroll 8
         for (size_t l = 0; l < lanes; l++)
-            acc[l] = _mm_xor_si128(mul(acc[l], x[l], m, shift, low, wide), c);
+            acc[l] = _mm_xor_si128(mul(acc[l], x[l], m, shift, low, wide, folds), c);
     }
 #pragma GCC unroll 8
     for (size_t l = 0; l < lanes; l++)
@@ -95,23 +109,36 @@ KERNEL void eval(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t 
 }
 
 KERNEL void eval_all(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
-                     size_t n, int w, uint64_t mask, int wide)
+                     size_t n, int w, uint64_t mask, int wide, int folds)
 {
     size_t i = 0;
     for (; i + LANES <= n; i += LANES)
-        eval(coeffs, k, xs + i, out + i, w, mask, LANES, wide);
+        eval(coeffs, k, xs + i, out + i, w, mask, LANES, wide, folds);
     for (; i < n; i++)
-        eval(coeffs, k, xs + i, out + i, w, mask, 1, wide);
+        eval(coeffs, k, xs + i, out + i, w, mask, 1, wide, folds);
 }
 
-/* out[i] = sum_j coeffs[j] * xs[i]^j over GF(2^w), for i < n; k >= 1. */
-static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
-                          size_t n, int w, uint64_t mask)
+/* How many folds a step takes when no point exceeds top: 1 below
+ * 2^(w - deg(mask) + 1), else 2 (see the header). */
+static int folds_for(uint64_t top, int w, uint64_t mask)
 {
-    if (w == 64)
-        eval_all(coeffs, k, xs, out, n, w, mask, 1);
+    int bits = w + 1 - (mask ? 63 - __builtin_clzll(mask) : 0);
+    return bits >= 64 || (bits > 0 && top >> bits == 0) ? 1 : 2;
+}
+
+/* out[i] = sum_j coeffs[j] * xs[i]^j over GF(2^w), for i < n; k >= 1, and
+ * folds = folds_for of a bound on every xs[i]. */
+static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, uint64_t *out,
+                          size_t n, int w, uint64_t mask, int folds)
+{
+    if (w == 64 && folds == 1)
+        eval_all(coeffs, k, xs, out, n, w, mask, 1, 1);
+    else if (w == 64)
+        eval_all(coeffs, k, xs, out, n, w, mask, 1, 2);
+    else if (folds == 1)
+        eval_all(coeffs, k, xs, out, n, w, mask, 0, 1);
     else
-        eval_all(coeffs, k, xs, out, n, w, mask, 0);
+        eval_all(coeffs, k, xs, out, n, w, mask, 0, 2);
 }
 
 /* out[r] = how many of the points rows[r]*d + i, i < d, evaluate to a value
@@ -122,7 +149,7 @@ static PCLMUL void horner(const uint64_t *coeffs, size_t k, const uint64_t *xs, 
  * sum to out[r] where the row or the block ends. */
 static PCLMUL void count(const uint64_t *coeffs, size_t k, const uint64_t *rows, uint64_t *out,
                          size_t n, uint64_t d, uint64_t top, const uint8_t *packed,
-                         int w, uint64_t mask)
+                         int w, uint64_t mask, int folds)
 {
     uint64_t xs[LANES], ys[LANES];
     size_t r = 0;
@@ -139,7 +166,7 @@ static PCLMUL void count(const uint64_t *coeffs, size_t k, const uint64_t *rows,
                 r++;
             }
         }
-        horner(coeffs, k, xs, ys, len, w, mask);
+        horner(coeffs, k, xs, ys, len, w, mask, folds);
         uint64_t hits = 0;
         for (size_t l = 0; l < len; l++) {
             uint64_t b = ys[l] & top;
@@ -162,13 +189,14 @@ struct run {
     size_t k, n;
     uint64_t d, top, mask;
     const uint8_t *packed;
-    int w;
+    int w, folds;
 };
 
 static void *count_run(void *arg)
 {
     const struct run *a = arg;
-    count(a->coeffs, a->k, a->rows, a->out, a->n, a->d, a->top, a->packed, a->w, a->mask);
+    count(a->coeffs, a->k, a->rows, a->out, a->n, a->d, a->top, a->packed, a->w, a->mask,
+          a->folds);
     return NULL;
 }
 
@@ -309,8 +337,15 @@ static PyObject *py_horner(PyObject *Py_UNUSED(module), PyObject *const *args, P
         return NULL;
     }
     int same = xs.len == out.len;
-    if (same)
-        horner(coeffs.buf, (size_t)coeffs.len / 8, xs.buf, out.buf, (size_t)xs.len / 8, w, mask);
+    if (same) {
+        const uint64_t *x = xs.buf;
+        size_t n = (size_t)xs.len / 8;
+        uint64_t any = 0;  /* the OR of the points: its top bit is the largest point's */
+        for (size_t i = 0; i < n; i++)
+            any |= x[i];
+        horner(coeffs.buf, (size_t)coeffs.len / 8, x, out.buf, n, w, mask,
+               folds_for(any, w, mask));
+    }
     else
         PyErr_Format(PyExc_ValueError, "xs has %zd points but out has room for %zd",
                      xs.len / 8, out.len / 8);
@@ -332,16 +367,16 @@ static PyObject *py_horner1(PyObject *Py_UNUSED(module), PyObject *const *args, 
         || get_words(args[0], &coeffs, PyBUF_SIMPLE, WORDS, "coeffs") < 0)
         return NULL;
     uint64_t y;
-    horner(coeffs.buf, (size_t)coeffs.len / 8, &x, &y, 1, w, mask);
+    horner(coeffs.buf, (size_t)coeffs.len / 8, &x, &y, 1, w, mask, folds_for(x, w, mask));
     PyBuffer_Release(&coeffs);
     return PyLong_FromUnsignedLongLong(y);
 }
 
 /* 0 when count can run on these arguments: rows and out of one length,
- * bit top inside packed, and every point rows[r]*d + i in GF(2^w);
- * otherwise -1 with a ValueError set. */
+ * bit top inside packed, and every point rows[r]*d + i in GF(2^w), with
+ * *largest set to the largest row; otherwise -1 with a ValueError set. */
 static int check_count_args(const Py_buffer *rows, const Py_buffer *out, uint64_t d,
-                            uint64_t top, Py_ssize_t packed_len, int w)
+                            uint64_t top, Py_ssize_t packed_len, int w, uint64_t *largest)
 {
     if (rows->len != out->len) {
         PyErr_Format(PyExc_ValueError, "rows has %zd vertices but out has room for %zd",
@@ -355,19 +390,23 @@ static int check_count_args(const Py_buffer *rows, const Py_buffer *out, uint64_
     }
     uint64_t last = w == 64 ? ~0ULL : (1ULL << w) - 1;  /* the largest field element */
     const uint64_t *r = rows->buf;
-    for (Py_ssize_t j = 0; j < rows->len / 8; j++)
+    *largest = 0;
+    for (Py_ssize_t j = 0; j < rows->len / 8; j++) {
         if (d - 1 > last || r[j] > (last - (d - 1)) / d) {
             PyErr_Format(PyExc_ValueError, "row %llu has points beyond GF(2^%d) at d = %llu",
                          (unsigned long long)r[j], w, (unsigned long long)d);
             return -1;
         }
+        if (r[j] > *largest)
+            *largest = r[j];
+    }
     return 0;
 }
 
 static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer coeffs, rows, out, packed;
-    uint64_t d, top, mask;
+    uint64_t d, top, mask, largest;
     int w, bad = -1;
     if (check_count("count", nargs, 8) < 0 || get_u64(args[3], &d) < 0
         || get_u64(args[4], &top) < 0 || get_width(args[6], &w) < 0
@@ -382,12 +421,13 @@ static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py
     if (get_words(args[1], &rows, PyBUF_SIMPLE, INT64_ARRAY, "rows") == 0) {
         if (get_words(args[2], &out, PyBUF_WRITABLE, INT64_ARRAY, "out") == 0) {
             if (PyObject_GetBuffer(args[5], &packed, PyBUF_SIMPLE) == 0) {
-                bad = check_count_args(&rows, &out, d, top, packed.len, w);
+                bad = check_count_args(&rows, &out, d, top, packed.len, w, &largest);
                 if (!bad) {
                     struct run all = {
                         .coeffs = coeffs.buf, .k = (size_t)coeffs.len / 8, .rows = rows.buf,
                         .out = out.buf, .n = (size_t)rows.len / 8, .d = d, .top = top,
-                        .packed = packed.buf, .w = w, .mask = mask};
+                        .packed = packed.buf, .w = w, .mask = mask,
+                        .folds = folds_for(largest * d + (d - 1), w, mask)};
                     Py_BEGIN_ALLOW_THREADS
                     count_split(&all);
                     Py_END_ALLOW_THREADS

@@ -58,7 +58,9 @@ def greedy_label(g: SeededGraph, A, eps) -> Labeling:
     p = g.params
     threshold = overlap_threshold(p.d, eps)
     members = np.asarray(check_set(A, p), dtype=np.int64)
-    outside = np.setdiff1d(np.arange(p.m, dtype=np.int64), members)
+    is_outside = np.ones(p.m, dtype=bool)
+    is_outside[members] = False
+    outside = np.flatnonzero(is_outside)
     step = max(1, SCAN_CHUNK_POINTS // p.d)
     labels = np.zeros(p.s, dtype=bool)
     labels[edge_targets(g, members).ravel()] = True

@@ -42,7 +42,7 @@ outside the field before it evaluates.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -119,17 +119,17 @@ class PolySeed:
             raise ValueError("seed needs at least one coefficient")
         for c in self.coeffs:
             _check_element(c, self.field, "coefficient")
+        # (coefficient words as bytes, width, reduction mask): what the
+        # compiled loop takes besides the points.  Made with the seed, so
+        # that the first query after a load pays nothing for it; not a
+        # field, so ==, hash and repr see only coeffs and field.
+        words = np.array(self.coeffs, dtype=np.uint64).tobytes()
+        object.__setattr__(self, "_kernel_args",
+                           (words, self.field.width_bits, self.field.reduction_poly))
 
     @property
     def indep_k(self) -> int:
         return len(self.coeffs)
-
-    @cached_property
-    def _kernel_args(self) -> tuple:
-        """(coefficient words as bytes, width, reduction mask): what the
-        compiled loop takes besides the points, made once per seed."""
-        words = np.array(self.coeffs, dtype=np.uint64).tobytes()
-        return words, self.field.width_bits, self.field.reduction_poly
 
 
 def poly_eval(seed: PolySeed, x: int) -> int:

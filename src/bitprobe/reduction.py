@@ -80,8 +80,9 @@ def check_strong_reduction(g: SeededGraph, A, eps, scope=None) -> ReductionRepor
     p = g.params
     A = set(A)
     if scope is None:
-        rows = np.setdiff1d(np.arange(p.m, dtype=np.int64),
-                            np.fromiter(A, dtype=np.int64, count=len(A)))
+        is_outside = np.ones(p.m, dtype=bool)
+        is_outside[left_vertices(g, sorted(A))] = False
+        rows = np.flatnonzero(is_outside)
     else:
         scope = set(scope)
         if scope & A:

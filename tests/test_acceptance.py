@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_criterion_2_two_probe_correctness(store, capsys):
             if rc != 0:
                 failures.append((idx, u, n, _eps_str(eps), f"rc={rc}"))
                 continue
-            sch = storage.load(open(scheme_file, "rb").read())
+            sch = storage.load(Path(scheme_file).read_bytes())
         else:
             try:
                 sch = scheme_two.encode(A, u, eps, indep_k=INDEP_K, master_seed=ms)
@@ -304,7 +305,7 @@ def test_criterion_8_reproducibility(store, capsys):
             if rc != 0:
                 problems.append(f"repro build {idx} rc={rc}")
             outs.append(out)
-        if open(outs[0], "rb").read() != open(outs[1], "rb").read():
+        if Path(outs[0]).read_bytes() != Path(outs[1]).read_bytes():
             problems.append(f"instance {idx}: rebuild differs")
 
     # save/load is the identity on every scheme produced by criteria 1-2
@@ -318,7 +319,7 @@ def test_criterion_8_reproducibility(store, capsys):
             path.write_bytes(storage.save(sch))
             files.append(path)
     for path in files:
-        blob = open(path, "rb").read()
+        blob = path.read_bytes()
         sch = storage.load(blob)
         if storage.save(sch) != blob:
             problems.append(f"{path.name}: save(load(x)) != x")

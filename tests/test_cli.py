@@ -5,6 +5,7 @@ import re
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,14 +53,14 @@ def test_build_summary_matches_derived_sizing(tmp_path, capsys):
 def test_build_empty_set(tmp_path, capsys):
     out, summary = build(tmp_path, [], capsys, u=6)
     assert summary["retries_used"] == "1"
-    sch = storage.load(open(out, "rb").read())
+    sch = storage.load(Path(out).read_bytes())
     assert sch.stages[0].bitmap.as_bool_array().sum() == 0
 
 
 def test_build_is_byte_identical_across_runs(tmp_path, capsys):
     out1, _ = build(tmp_path, [5, 9], capsys, name="a.bps")
     out2, _ = build(tmp_path, [5, 9], capsys, name="b.bps")
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_build_rejects_duplicates_and_overflow(tmp_path, capsys):
@@ -191,7 +192,8 @@ def test_verify_pass_and_csv_profile(tmp_path, capsys):
     csv_path = str(tmp_path / "profile.csv")
     rc = main(["verify", out, write_set(tmp_path, elements), "-o", csv_path])
     assert rc == 0
-    rows = list(csv.DictReader(open(csv_path)))
+    with open(csv_path) as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 256
     for row in rows:
         err = Fraction(int(row["exact_error_num"]), int(row["exact_error_den"]))
@@ -206,14 +208,14 @@ def test_verify_pass_and_csv_profile(tmp_path, capsys):
 def test_verify_detects_corrupted_bitmap(tmp_path, capsys):
     elements = [4, 99]
     out, _ = build(tmp_path, elements, capsys, u=8, eps="1/2")
-    blob = bytearray(open(out, "rb").read())
+    blob = bytearray(Path(out).read_bytes())
     scheme = storage.load(bytes(blob))
     # clear the bit the first member's probe 0 reads: a false negative now exists
     pos = neighbor(scheme.graph, 4, 0)
     layout = {name: (off, ln) for name, off, ln in section_layout(bytes(blob))}
     off = layout["bitmap"][0] + 8 + (pos >> 3)
     blob[off] &= ~(1 << (pos & 7)) & 0xFF
-    open(out, "wb").write(bytes(blob))
+    Path(out).write_bytes(bytes(blob))
     rc = main(["verify", out, write_set(tmp_path, elements)])
     assert rc == 1
     err = capsys.readouterr().err
@@ -247,11 +249,11 @@ def test_verify_output_matches_golden(tmp_path, capsys, kind, route):
     set_file = write_set(tmp_path, [3, 17, 40, 58])
     for variant in ("intact", "cut"):
         if variant == "cut":
-            sch = storage.load(open(out, "rb").read())
+            sch = storage.load(Path(out).read_bytes())
             flags = [st.bitmap.as_bool_array() for st in sch.stages]
             flags[-1][neighbor(sch.stages[-1].graph, 3, 0)] = False
             bitmaps = map(Bitmap.from_bool_array, flags)
-            open(out, "wb").write(storage.save(with_bitmaps(sch, *bitmaps)))
+            Path(out).write_bytes(storage.save(with_bitmaps(sch, *bitmaps)))
         csv_path = tmp_path / f"{variant}.csv"
         rc = main(["verify", out, set_file, "-o", str(csv_path)])
         digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
@@ -546,10 +548,10 @@ def test_bmrv_verify_is_two_sided(tmp_path, capsys):
     assert "max_member_error=1/4" in err and "verdict=pass" in err
     assert rc == 0
 
-    blob = bytearray(open(out, "rb").read())
+    blob = bytearray(Path(out).read_bytes())
     off = {name: off for name, off, _ in section_layout(bytes(blob))}["bitmap"]
     blob[off + 8:] = bytes(len(blob) - off - 8)  # every member now errs
-    open(out, "wb").write(bytes(blob))
+    Path(out).write_bytes(bytes(blob))
     rc = main(["verify", out, set_file, "-o", str(tmp_path / "bmrv.csv")])
     assert rc == 1
     assert "verdict=fail" in capsys.readouterr().err

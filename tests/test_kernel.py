@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitprobe import _clmul, bmrv, gf, scheme_one, scheme_two
+from bitprobe import _clmul, bmrv, gf, scheme_one, scheme_two, storage
 from bitprobe.bits import Bitmap
 from bitprobe.gf import GF2_64, PolySeed, poly_eval, poly_eval_block
 
@@ -82,6 +82,47 @@ def test_compiled_loop_equals_both_fallback_routes(field, data):
     assert bulk == gf._numpy_block(seed, points).tolist()
     assert bulk == [gf._horner(coeffs, x, field.width_bits) for x in xs]
     assert bulk == [poly_eval(seed, x) for x in xs]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_fold_decision_at_its_bound(field, data):
+    # A Horner step folds once when every point of the call is below
+    # 2^(w - deg(mask) + 1), else twice: draw points on both sides of that
+    # bound into one call, short ones first, and count rows of odd d whose
+    # first point lies below it and whose last point does not.
+    compiled_lib()
+    w, mask, order = field.width_bits, field.reduction_poly, field.order
+    bound = min(order, 1 << (w - mask.bit_length() + 2))
+    element = st.integers(0, order - 1)
+    short = st.sampled_from([0, bound - 2, bound - 1]) | st.integers(0, bound - 1)
+    long = st.sampled_from([bound, bound + 1, order - 1]) | st.integers(bound, order - 1)
+    coeffs = tuple(data.draw(st.lists(element, min_size=2, max_size=24)))
+    seed = PolySeed(coeffs, field)
+    longs = data.draw(st.lists(long, max_size=9)) if bound < order else []  # GF(2^3): none
+    xs = [data.draw(short)] + data.draw(st.permutations(
+        data.draw(st.lists(short, max_size=9)) + longs))
+    points = np.array(xs, dtype=np.uint64)
+    bulk = poly_eval_block(seed, points).tolist()
+    assert bulk == gf._numpy_block(seed, points).tolist()
+    assert bulk == [gf._horner(coeffs, x, w) for x in xs]
+    assert bulk == [poly_eval(seed, x) for x in xs]
+
+    d = data.draw(st.integers(1, min(20, (order - 1) // 2))) * 2 + 1
+    last_row = (min(order, 1 << 63) - d) // d  # the last row in the field and in int64
+    cross = (bound - 1) // d  # holds bound - 1 and, as bound % d != 0, bound too
+    rows = data.draw(st.lists(st.integers(0, min(cross, last_row)), max_size=4))
+    if cross <= last_row:
+        rows.append(cross)
+    rows += data.draw(st.lists(st.integers(min(cross + 1, last_row), last_row), max_size=2))
+    rows = np.array(rows, dtype=np.int64)
+    top = (1 << data.draw(st.integers(3, 9))) - 1
+    packed = data.draw(st.binary(min_size=(top + 1) // 8, max_size=(top + 1) // 8))
+    counts = gf.overlap_counts(seed, rows, d, top + 1, packed).tolist()
+    values = gf._numpy_block(seed, (rows[:, None] * d + np.arange(d)).astype(np.uint64)) & top
+    bits = np.frombuffer(packed, dtype=np.uint8)[values >> 3] >> (values & 7).astype(np.uint8) & 1
+    assert counts == bits.sum(axis=1).tolist()
 
 
 def sample_values():
@@ -381,6 +422,18 @@ GOLDEN_QUERY_STREAM = {
     ("bmrv", 6): "405c7560068ab809b92483aa4c70020ab5b7f8d96dd3f83516eb8874b1e8764b",
     ("bmrv", None): "2cc1b381f8d05aea07f0201f34e685ea69fbcc31ec00162a93cb3c24ae9225c0",
 }
+
+
+def test_a_loaded_seed_brings_its_coefficient_words():
+    # the first query after a load builds nothing: the words are made with
+    # the seed, and ==, hash and repr do not see them
+    _, sch = u14_scheme("one", 6)
+    seed = storage.load(storage.save(sch)).stages[0].graph.seed
+    words = np.array(seed.coeffs, dtype=np.uint64).tobytes()
+    assert vars(seed)["_kernel_args"] == (words, 64, GF2_64.reduction_poly)
+    twin = PolySeed(seed.coeffs, seed.field)
+    assert (seed, hash(seed), repr(seed)) == (twin, hash(twin), repr(twin))
+    assert "_kernel_args" not in repr(seed)
 
 
 @on_both_routes("kind,indep_k", list(GOLDEN_QUERY_STREAM))
