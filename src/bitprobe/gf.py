@@ -37,12 +37,18 @@ bit-split Horner (``_numpy_block``) and a pure-Python one (``_horner``),
 and ``overlap_counts`` gives None, so that ``reduction`` counts on its
 numpy edge scan.  ``compiled`` tells which route runs.
 ``reference_block`` evaluates on the route that ``poly_eval_block`` does
-not take, so that the oracle can check it.  Every route rejects a point
-outside the field before it evaluates.
+not take, so that the oracle can check it: pure-Python Horner under the
+numpy fallback, and numpy under the compiled loop.  The numpy reference
+evaluates in another order than the loop it checks.  It splits the
+coefficients into about sqrt(k/2) rows, evaluates them together and
+combines them by Horner in x^L (Paterson and Stockmeyer), since a numpy
+step costs about 60 calls however few points the oracle samples.  Every
+route rejects a point outside the field before it evaluates.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt
 
 import numpy as np
 
@@ -152,11 +158,13 @@ def poly_eval(seed: PolySeed, x: int) -> int:
 # into four interleaved quarters so that plain integer products never carry
 # into a used bit position of their residue class.  Horner multiplies
 # by the same point x at every step, so the quarters of x's 32-bit limbs are
-# masked once per chunk and a step masks only the accumulator's limbs.  A
+# masked once per chunk and a step masks only the accumulator's limbs; the
+# accumulator may hold several polynomials' rows, which share x's quarters.  A
 # high limb of x that is zero across the chunk is skipped (edge indices are
 # below 2^32 whenever m*d <= 2^32): a 64-bit step then takes two 32x32
 # products instead of four, and its high word one fold instead of two.
-# Chunks of 2^14 points keep each temporary at 128 KiB, inside a 2 MiB L2.
+# Chunks of 2^14 points (over all rows) keep each temporary at 128 KiB,
+# inside a 2 MiB L2.
 # ---------------------------------------------------------------------------
 
 _U64 = np.uint64
@@ -260,31 +268,74 @@ def compiled() -> bool:
 def reference_block(seed: PolySeed, xs) -> tuple:
     """(route name, values): poly_eval_block evaluated on the route that it
     does not take here, numpy under the compiled loop and pure Python under
-    the numpy fallback."""
+    the numpy fallback.
+
+    Under the compiled loop the values come in another order than the
+    loop's Horner, because the oracle checks only a few hundred points
+    and a numpy step costs about 60 calls however few they are.  The k
+    coefficients are cut, as Paterson and Stockmeyer do, into B =
+    isqrt(k // 2) rows of L = ceil(k / B) (the top row padded with zeros),
+    and a row that is 1 only at position L - 1 joins them.  One pass of
+    L - 1 Horner steps in x evaluates every row; then y = x^(L-1) * x =
+    x^L, and B - 1 Horner steps in y take the row values as coefficients.
+    A step in y multiplies by a full-width point and costs about two in x,
+    so B minimizes k/B + 2B.  For k <= 7, B = 1 and this is
+    ``_numpy_block``."""
     xs = _field_points(seed, xs)
-    if compiled():
-        return "numpy", _numpy_block(seed, xs)
-    w = seed.field.width_bits
-    values = [_horner(seed.coeffs, x, w) for x in xs.ravel().tolist()]
-    return "pure-Python", np.array(values, dtype=np.uint64).reshape(xs.shape)
+    if not compiled():
+        w = seed.field.width_bits
+        values = [_horner(seed.coeffs, x, w) for x in xs.ravel().tolist()]
+        return "pure-Python", np.array(values, dtype=np.uint64).reshape(xs.shape)
+    return "numpy", _numpy_block(seed, xs, max(1, isqrt(seed.indep_k // 2)))
 
 
-def _numpy_block(seed: PolySeed, xs: np.ndarray) -> np.ndarray:
-    """poly_eval_block on the numpy route, for a contiguous uint64 array."""
-    out = np.empty_like(xs)
-    flat_xs, flat_out = xs.reshape(-1), out.reshape(-1)
+def _point_quarters(x, field: FieldSpec):
+    """The quarters of the 32-bit limbs of the points x, as one row of
+    shape (1, P), so that an accumulator of one row takes them without
+    broadcasting; the high limb only where some point sets it."""
+    x = x.reshape(1, -1)
+    x_quarters = [_quarters(x)]
+    if field.width_bits == 64 and (x >> _S32).any():
+        x_quarters.append(_quarters(x >> _S32))
+    return x_quarters
+
+
+def _horner_rows(rows, x_quarters, field: FieldSpec, bits):
+    """Horner at the points whose quarters are given, for R polynomials at
+    once: rows[r, j] holds the coefficient of x^j of polynomial r, of shape
+    (R, L, 1) when the coefficients are shared by every point and (R, L, P)
+    when each point has its own.  Returns the (R, P) values."""
+    acc = np.empty((len(rows), x_quarters[0][0].shape[1]), dtype=np.uint64)
+    acc[...] = rows[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        acc = _mul_point(acc, x_quarters, field, bits)
+        acc ^= rows[:, j]
+    return acc
+
+
+def _numpy_block(seed: PolySeed, xs: np.ndarray, b: int = 1) -> np.ndarray:
+    """poly_eval_block on the numpy route, for a contiguous uint64 array,
+    with the coefficients cut into b rows as ``reference_block`` describes.
+    b = 1, the fallback's, is ``_horner_rows`` on the seed's one row."""
+    k = seed.indep_k
+    length = -(-k // b)
+    # b rows of coefficients, the top one zero-padded, and where there are
+    # steps in y, a row that evaluates to x^(L-1)
+    rows = np.zeros((b + (b > 1), length, 1), dtype=np.uint64)
+    rows.reshape(-1)[:k] = seed.coeffs
+    rows[b:, -1] = 1
     field = seed.field
     bits = _FOLD_SHIFTS[field.width_bits]
-    for lo in range(0, flat_xs.size, _CHUNK_POINTS):
-        x = flat_xs[lo:lo + _CHUNK_POINTS]
-        x_quarters = [_quarters(x)]
-        if field.width_bits == 64 and (x >> _S32).any():
-            x_quarters.append(_quarters(x >> _S32))
-        acc = np.full(x.shape, _U64(seed.coeffs[-1]))
-        for c in reversed(seed.coeffs[:-1]):
-            acc = _mul_point(acc, x_quarters, field, bits)
-            acc ^= _U64(c)
-        flat_out[lo:lo + _CHUNK_POINTS] = acc
+    out = np.empty_like(xs)
+    flat_xs, flat_out = xs.reshape(-1), out.reshape(-1)
+    chunk = _CHUNK_POINTS // len(rows)
+    for lo in range(0, flat_xs.size, chunk):
+        x_quarters = _point_quarters(flat_xs[lo:lo + chunk], field)
+        values = _horner_rows(rows, x_quarters, field, bits)
+        if b > 1:
+            y = _mul_point(values[b:], x_quarters, field, bits)  # x^L
+            values = _horner_rows(values[None, :b], _point_quarters(y, field), field, bits)
+        flat_out[lo:lo + chunk] = values[0]
     return out
 
 

@@ -17,9 +17,14 @@ drawn by an rng keyed by the seed, cross-check them:
 
 On the compiled route the fused count evaluates through the very
 ``horner`` loop that the edge sample checks, and the count sample checks
-its walk over the rows, mask and bit test.  On the numpy route
-``slot_overlap_counts`` is ``scan_overlap_counts``: the count sample
-compares the scan with itself, and only the edge sample checks a kernel.
+its walk over the rows, mask and bit test.  The edge sample's reference
+there is numpy alone, and it evaluates in another order than that loop:
+from k = 8 on it splits the coefficients into rows and combines their
+values by Horner in x^L (see ``gf.reference_block``), so that its
+``EDGE_SAMPLES`` points cost about 2*sqrt(2k) numpy steps instead of
+k - 1.  On the numpy route ``slot_overlap_counts`` is
+``scan_overlap_counts``: the count sample compares the scan with itself,
+and only the edge sample, numpy against pure Python, checks a kernel.
 
 Every stage's full count runs on one worker thread.  The compiled count
 releases the GIL, so there the calling thread checks the samples

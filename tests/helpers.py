@@ -128,13 +128,12 @@ class FixedProbes:
 
 
 def naive_poly_eval(coeffs, x, width, poly_mask):
-    """Reference power-sum evaluation: sum of c_j * x^j."""
-    total = 0
-    for j, c in enumerate(coeffs):
-        xj = 1
-        for _ in range(j):
-            xj = naive_gf_mul(xj, x, width, poly_mask)
+    """Reference power-sum evaluation: sum of c_j * x^j, each power the
+    one before times x."""
+    total, xj = 0, 1
+    for c in coeffs:
         total ^= naive_gf_mul(c, xj, width, poly_mask)
+        xj = naive_gf_mul(xj, x, width, poly_mask)
     return total
 
 

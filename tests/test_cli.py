@@ -32,12 +32,13 @@ def parse_summary(line):
     return dict(kv.split("=", 1) for kv in line.strip().split())
 
 
-def build(tmp_path, elements, capsys, *, kind="one", u=10, eps="1/2",
+def build(tmp_path, elements, capsys, *, kind="one", u=10, eps="1/2", indep_k=6,
           extra=(), name="scheme.bps"):
+    """Build a scheme at k = indep_k, or at the CLI's default k where it is None."""
     out = str(tmp_path / name)
+    k_flag = () if indep_k is None else ("--indep-k", str(indep_k))
     rc = main(["build", write_set(tmp_path, elements), "-o", out,
-               "--kind", kind, "--universe-bits", str(u), "--eps", eps,
-               "--indep-k", "6", *extra])
+               "--kind", kind, "--universe-bits", str(u), "--eps", eps, *k_flag, *extra])
     assert rc == 0
     return out, parse_summary(capsys.readouterr().out)
 
@@ -276,12 +277,16 @@ def test_profile_csv_is_what_csv_writer_writes():
     assert got.getvalue() == want.getvalue()
 
 
+@pytest.mark.parametrize("indep_k", [None, 6], ids=["default-k", "k6"])
 def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, capsys,
-                                                                   monkeypatch):
+                                                                   monkeypatch, indep_k):
+    # the default k = 36 at u = 6 takes the split numpy reference (B = 4),
+    # k = 6 the one-row one
     lib = _clmul._lib()
     if lib is None:
         pytest.skip("the compiled route is not loaded")
-    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6, indep_k=indep_k)
+    assert storage.load(Path(out).read_bytes()).stages[0].graph.seed.indep_k == (indep_k or 36)
 
     class FlipFirstPoint:
         """The compiled loop, but bit 0 of the first point of a bulk call flips."""

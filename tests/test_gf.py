@@ -2,9 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from bitprobe import _clmul, gf
 from bitprobe.gf import (
     GF2_64,
     FieldSpec,
@@ -252,6 +253,84 @@ def test_points_outside_the_field_raise_on_every_route(w, route, data):
             evaluate(seed, points)
     with pytest.raises(ValueError, match=message):
         poly_eval(seed, max(outside))
+
+
+def _refuse(*args):
+    raise AssertionError("the reference ran the compiled loop that it checks")
+
+
+class RefusingLoop:
+    """Stands in for the loaded compiled loop, so that gf takes the compiled
+    route, but each of its entry points fails when it is called."""
+    horner = horner1 = count = staticmethod(_refuse)
+
+
+SHORT_TOP = (1 << 32) - 1  # a 64-bit point at most this leaves its high limb unset
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(1, 300), salt=st.integers(0, 1 << 32),
+       raw=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=2),
+       short=st.booleans(), layout=st.sampled_from(["flat", "2-D", "empty", "chunks"]))
+@example(k=7, salt=0, raw=[(1 << 64) - 1, 5], short=False, layout="flat")
+@example(k=8, salt=1, raw=[SHORT_TOP, 2], short=True, layout="chunks")
+@example(k=9, salt=2, raw=[1 << 63, 3], short=False, layout="2-D")
+@example(k=100, salt=3, raw=[(1 << 64) - 1, 1 << 40], short=False, layout="chunks")
+@example(k=300, salt=4, raw=[12345], short=True, layout="chunks")
+def test_compiled_route_reference_matches_power_sum(field, monkeypatch, k, salt, raw, short,
+                                                    layout):
+    # the split Horner, against the power sum, at every k up to 300: 7 and 8
+    # are either side of the split, and B*L > k pads the top row (k = 9, 100);
+    # chunks of 64 points over all rows, so that "chunks" spans several
+    monkeypatch.setattr(_clmul, "_lib", RefusingLoop)
+    monkeypatch.setattr(gf, "_CHUNK_POINTS", 64)
+    w = field.width_bits
+    rng = random.Random(salt)
+    seed = PolySeed(tuple(rng.randrange(field.order) for _ in range(k)), field)
+    # short points leave a 64-bit point's high limb unset, in every chunk
+    points = [x & SHORT_TOP if short else x for x in raw]
+    points = [x & (field.order - 1) for x in points]
+    want = {x: naive_poly_eval(seed.coeffs, x, w, field.reduction_poly) for x in points}
+    xs = {"flat": np.array(points, dtype=np.uint64),
+          "2-D": np.array(points * 2, dtype=np.uint64).reshape(2, -1),
+          "empty": np.zeros((2, 0), dtype=np.uint64),
+          "chunks": np.resize(np.array(points, dtype=np.uint64), 200)}[layout]
+    route, values = reference_block(seed, xs)
+    assert route == "numpy"
+    assert values.shape == xs.shape
+    assert values.tolist() == np.vectorize(want.get, otypes=[np.uint64])(xs).tolist()
+
+
+def test_the_reference_splits_from_k_8_on(monkeypatch):
+    # B = isqrt(k // 2) rows; for k <= 7 that is 1, the fallback's one-row Horner
+    monkeypatch.setattr(_clmul, "_lib", RefusingLoop)
+    numpy_block, rows = gf._numpy_block, {}
+
+    def note_rows(seed, xs, b=1):
+        rows[seed.indep_k] = b
+        return numpy_block(seed, xs, b)
+
+    monkeypatch.setattr(gf, "_numpy_block", note_rows)
+    for k in (1, 2, 4, 6, 7, 8, 17, 18, 36, 100, 196, 300):
+        reference_block(PolySeed((1,) * k, GF2_64), np.arange(4, dtype=np.uint64))
+    assert rows == {1: 1, 2: 1, 4: 1, 6: 1, 7: 1, 8: 2, 17: 2, 18: 3, 36: 4, 100: 7, 196: 9,
+                    300: 12}
+
+
+@pytest.mark.parametrize("k", [6, 100])
+def test_the_reference_never_runs_the_compiled_loop(monkeypatch, k):
+    # the oracle's reference on the compiled route is numpy throughout, so it
+    # cannot certify the loop that it checks
+    rng = random.Random(k)
+    seed = PolySeed(tuple(rng.randrange(1 << 64) for _ in range(k)), GF2_64)
+    points = [0, 1, 977, SHORT_TOP, (1 << 64) - 1]
+    monkeypatch.setattr(_clmul, "_lib", RefusingLoop)
+    route, values = reference_block(seed, np.array(points, dtype=np.uint64))
+    assert route == "numpy"
+    assert values.tolist() == [naive_poly_eval(seed.coeffs, x, 64, GF2_64.reduction_poly)
+                               for x in points]
 
 
 def test_poly_eval_block_empty():
