@@ -246,12 +246,13 @@ static void count_split(const struct run *all)
 
 /* ------------------------------------------------------------------------
  * The module.  Every entry point checks its arguments before the loop
- * runs: a coefficient buffer of whole uint64 words, at least one; xs and
- * out uint64 arrays of one length, out writable; x, w and mask in range.
- * count takes rows and out as uint64 or int64 arrays of one length, out
- * writable, d >= 1, every point rows[r]*d + i in the field, and a packed
- * buffer that holds bit top.  A bad argument raises and nothing is read or
- * written.
+ * runs: a coefficient buffer of whole uint64 words, at least one; x, w and
+ * mask in range; xs and out uint64 arrays (rows and out also int64) of one
+ * length, out writable; for count d >= 1, every point rows[r]*d + i in the
+ * field, and a packed buffer that holds bit top.  A bad argument raises
+ * and nothing is read or written.  get_arrays reads the buffers of horner
+ * and count into views that start zeroed, and each exit releases them all:
+ * PyBuffer_Release skips a view never taken, whose obj is NULL.
  * ------------------------------------------------------------------------ */
 
 enum { WORDS, UINT64_ARRAY, INT64_ARRAY };
@@ -282,6 +283,28 @@ static int get_words(PyObject *obj, Py_buffer *view, int flags, int kind, const 
         return -1;
     }
     return 0;
+}
+
+/* views[0..2] = coeffs, the array args[1] of the given kind, named name,
+ * and out, writable and as long: one result for each of its items. */
+static int get_arrays(PyObject *const *args, Py_buffer *views, int kind, const char *name,
+                      const char *items)
+{
+    if (get_words(args[0], &views[0], PyBUF_SIMPLE, WORDS, "coeffs") < 0
+        || get_words(args[1], &views[1], PyBUF_SIMPLE, kind, name) < 0
+        || get_words(args[2], &views[2], PyBUF_WRITABLE, kind, "out") < 0)
+        return -1;
+    if (views[1].len == views[2].len)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s has %zd %s but out has room for %zd", name,
+                 views[1].len / 8, items, views[2].len / 8);
+    return -1;
+}
+
+static void release(Py_buffer *views, int n)
+{
+    while (n-- > 0)
+        PyBuffer_Release(&views[n]);
 }
 
 static int check_count(const char *name, Py_ssize_t nargs, Py_ssize_t want)
@@ -319,41 +342,21 @@ static int get_width(PyObject *obj, int *w)
 
 static PyObject *py_horner(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer coeffs, xs, out;
+    Py_buffer v[3] = {{0}};
     int w;
     uint64_t mask;
     if (check_count("horner", nargs, 5) < 0 || get_width(args[3], &w) < 0
-        || get_u64(args[4], &mask) < 0)
-        return NULL;
-    if (get_words(args[0], &coeffs, PyBUF_SIMPLE, WORDS, "coeffs") < 0)
-        return NULL;
-    if (get_words(args[1], &xs, PyBUF_SIMPLE, UINT64_ARRAY, "xs") < 0) {
-        PyBuffer_Release(&coeffs);
+        || get_u64(args[4], &mask) < 0 || get_arrays(args, v, UINT64_ARRAY, "xs", "points") < 0) {
+        release(v, 3);
         return NULL;
     }
-    if (get_words(args[2], &out, PyBUF_WRITABLE, UINT64_ARRAY, "out") < 0) {
-        PyBuffer_Release(&xs);
-        PyBuffer_Release(&coeffs);
-        return NULL;
-    }
-    int same = xs.len == out.len;
-    if (same) {
-        const uint64_t *x = xs.buf;
-        size_t n = (size_t)xs.len / 8;
-        uint64_t any = 0;  /* the OR of the points: its top bit is the largest point's */
-        for (size_t i = 0; i < n; i++)
-            any |= x[i];
-        horner(coeffs.buf, (size_t)coeffs.len / 8, x, out.buf, n, w, mask,
-               folds_for(any, w, mask));
-    }
-    else
-        PyErr_Format(PyExc_ValueError, "xs has %zd points but out has room for %zd",
-                     xs.len / 8, out.len / 8);
-    PyBuffer_Release(&out);
-    PyBuffer_Release(&xs);
-    PyBuffer_Release(&coeffs);
-    if (!same)
-        return NULL;
+    const uint64_t *x = v[1].buf;
+    size_t n = (size_t)v[1].len / 8;
+    uint64_t any = 0;  /* the OR of the points: its top bit is the largest point's */
+    for (size_t i = 0; i < n; i++)
+        any |= x[i];
+    horner(v[0].buf, (size_t)v[0].len / 8, x, v[2].buf, n, w, mask, folds_for(any, w, mask));
+    release(v, 3);
     Py_RETURN_NONE;
 }
 
@@ -372,26 +375,27 @@ static PyObject *py_horner1(PyObject *Py_UNUSED(module), PyObject *const *args, 
     return PyLong_FromUnsignedLongLong(y);
 }
 
-/* 0 when count can run on these arguments: rows and out of one length,
- * bit top inside packed, and every point rows[r]*d + i in GF(2^w), with
- * *largest set to the largest row; otherwise -1 with a ValueError set. */
-static int check_count_args(const Py_buffer *rows, const Py_buffer *out, uint64_t d,
-                            uint64_t top, Py_ssize_t packed_len, int w, uint64_t *largest)
+/* 0 when count can run on the rows of v[1]: d >= 1, bit top inside packed,
+ * whose view goes to v[3], and every point rows[r]*d + i in GF(2^w), with
+ * *largest set to the largest row; otherwise -1 with an exception set. */
+static int check_count_args(PyObject *packed, Py_buffer *v, uint64_t d, uint64_t top, int w,
+                            uint64_t *largest)
 {
-    if (rows->len != out->len) {
-        PyErr_Format(PyExc_ValueError, "rows has %zd vertices but out has room for %zd",
-                     rows->len / 8, out->len / 8);
+    if (d == 0) {
+        PyErr_SetString(PyExc_ValueError, "d must be at least 1");
         return -1;
     }
-    if (top >> 3 >= (uint64_t)packed_len) {
+    if (PyObject_GetBuffer(packed, &v[3], PyBUF_SIMPLE) < 0)
+        return -1;
+    if (top >> 3 >= (uint64_t)v[3].len) {
         PyErr_Format(PyExc_ValueError, "packed has %zd bytes, too few for bit %llu",
-                     packed_len, (unsigned long long)top);
+                     v[3].len, (unsigned long long)top);
         return -1;
     }
     uint64_t last = w == 64 ? ~0ULL : (1ULL << w) - 1;  /* the largest field element */
-    const uint64_t *r = rows->buf;
+    const uint64_t *r = v[1].buf;
     *largest = 0;
-    for (Py_ssize_t j = 0; j < rows->len / 8; j++) {
+    for (Py_ssize_t j = 0; j < v[1].len / 8; j++) {
         if (d - 1 > last || r[j] > (last - (d - 1)) / d) {
             PyErr_Format(PyExc_ValueError, "row %llu has points beyond GF(2^%d) at d = %llu",
                          (unsigned long long)r[j], w, (unsigned long long)d);
@@ -405,42 +409,24 @@ static int check_count_args(const Py_buffer *rows, const Py_buffer *out, uint64_
 
 static PyObject *py_count(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer coeffs, rows, out, packed;
+    Py_buffer v[4] = {{0}};  /* coeffs, rows, out, packed */
     uint64_t d, top, mask, largest;
-    int w, bad = -1;
+    int w;
     if (check_count("count", nargs, 8) < 0 || get_u64(args[3], &d) < 0
         || get_u64(args[4], &top) < 0 || get_width(args[6], &w) < 0
-        || get_u64(args[7], &mask) < 0)
-        return NULL;
-    if (d == 0) {
-        PyErr_SetString(PyExc_ValueError, "d must be at least 1");
+        || get_u64(args[7], &mask) < 0 || get_arrays(args, v, INT64_ARRAY, "rows", "vertices") < 0
+        || check_count_args(args[5], v, d, top, w, &largest) < 0) {
+        release(v, 4);
         return NULL;
     }
-    if (get_words(args[0], &coeffs, PyBUF_SIMPLE, WORDS, "coeffs") < 0)
-        return NULL;
-    if (get_words(args[1], &rows, PyBUF_SIMPLE, INT64_ARRAY, "rows") == 0) {
-        if (get_words(args[2], &out, PyBUF_WRITABLE, INT64_ARRAY, "out") == 0) {
-            if (PyObject_GetBuffer(args[5], &packed, PyBUF_SIMPLE) == 0) {
-                bad = check_count_args(&rows, &out, d, top, packed.len, w, &largest);
-                if (!bad) {
-                    struct run all = {
-                        .coeffs = coeffs.buf, .k = (size_t)coeffs.len / 8, .rows = rows.buf,
-                        .out = out.buf, .n = (size_t)rows.len / 8, .d = d, .top = top,
-                        .packed = packed.buf, .w = w, .mask = mask,
-                        .folds = folds_for(largest * d + (d - 1), w, mask)};
-                    Py_BEGIN_ALLOW_THREADS
-                    count_split(&all);
-                    Py_END_ALLOW_THREADS
-                }
-                PyBuffer_Release(&packed);
-            }
-            PyBuffer_Release(&out);
-        }
-        PyBuffer_Release(&rows);
-    }
-    PyBuffer_Release(&coeffs);
-    if (bad)
-        return NULL;
+    struct run all = {
+        .coeffs = v[0].buf, .k = (size_t)v[0].len / 8, .rows = v[1].buf, .out = v[2].buf,
+        .n = (size_t)v[1].len / 8, .d = d, .top = top, .packed = v[3].buf, .w = w,
+        .mask = mask, .folds = folds_for(largest * d + (d - 1), w, mask)};
+    Py_BEGIN_ALLOW_THREADS
+    count_split(&all);
+    Py_END_ALLOW_THREADS
+    release(v, 4);
     Py_RETURN_NONE;
 }
 

@@ -4,11 +4,13 @@ The C file is a CPython extension module.  Nothing happens at import: the
 first call of :func:`_lib` compiles it with plain
 ``gcc -O2 -shared -fPIC -pthread`` against the running interpreter's
 headers into
-``${XDG_CACHE_HOME:-~/.cache}/bitprobe/clmul-<sha256><EXT_SUFFIX>``, unless
+``${XDG_CACHE_HOME:-~/.cache}/bitprobe/clmul-<hash><EXT_SUFFIX>``, unless
 that file is already there, and loads it with
-``importlib.machinery.ExtensionFileLoader``.  The hash covers the source,
-the flags and the interpreter's ``EXT_SUFFIX``, so an edit builds a new
-file and a library built for one interpreter ABI never loads in another.
+``importlib.machinery.ExtensionFileLoader``.  The hash, the one
+``importlib.util.source_hash`` keys bytecode with, covers the source, the
+flags and the interpreter's ``EXT_SUFFIX``, so an edit builds a new file and
+a library built for one interpreter ABI never loads in another; a cached
+load imports no ``hashlib``.
 A build goes to a temporary file that ``os.replace`` publishes, so
 processes building at once each load a whole library.  A lock makes
 threads that call :func:`_lib` at once for the first time take turns, so
@@ -41,11 +43,11 @@ def _flags() -> tuple:
 def _cached_path() -> Path:
     """Where the library for this source, these flags and this interpreter
     ABI lives in the cache."""
-    import hashlib
+    import importlib.util
 
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    tag = hashlib.sha256(b"\0".join(
-        [_SOURCE.read_bytes(), *(f.encode() for f in _flags()), suffix.encode()])).hexdigest()
+    tag = importlib.util.source_hash(b"\0".join(
+        [_SOURCE.read_bytes(), *(f.encode() for f in _flags()), suffix.encode()])).hex()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bitprobe"
     return cache / f"clmul-{tag}{suffix}"
 

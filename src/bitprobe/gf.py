@@ -38,10 +38,10 @@ and ``overlap_counts`` gives None, so that ``reduction`` counts on its
 numpy edge scan.  ``compiled`` tells which route runs.
 ``reference_block`` evaluates on the route that ``poly_eval_block`` does
 not take, so that the oracle can check it: pure-Python Horner under the
-numpy fallback, and numpy under the compiled loop.  The numpy reference
-evaluates in another order than the loop it checks.  It splits the
-coefficients into about sqrt(k/2) rows, evaluates them together and
-combines them by Horner in x^L (Paterson and Stockmeyer), since a numpy
+numpy fallback, and numpy under the compiled loop.  From k = 18 on the
+numpy reference evaluates in another order than the loop it checks.  It
+splits the coefficients into about sqrt(k/2) rows, evaluates them together
+and combines them by Horner in x^L (Paterson and Stockmeyer), since a numpy
 step costs about 60 calls however few points the oracle samples.  Every
 route rejects a point outside the field before it evaluates.
 """
@@ -270,23 +270,25 @@ def reference_block(seed: PolySeed, xs) -> tuple:
     does not take here, numpy under the compiled loop and pure Python under
     the numpy fallback.
 
-    Under the compiled loop the values come in another order than the
-    loop's Horner, because the oracle checks only a few hundred points
-    and a numpy step costs about 60 calls however few they are.  The k
-    coefficients are cut, as Paterson and Stockmeyer do, into B =
-    isqrt(k // 2) rows of L = ceil(k / B) (the top row padded with zeros),
-    and a row that is 1 only at position L - 1 joins them.  One pass of
+    Under the compiled loop, from k = 18 on, the values come in another
+    order than the loop's Horner, because the oracle checks only a few
+    hundred points and a numpy step costs about 60 calls however few they
+    are.  The k coefficients are cut, as Paterson and Stockmeyer do, into
+    B = isqrt(k // 2) rows of L = ceil(k / B) (the top row padded with
+    zeros), and a row that is 1 only at position L - 1 joins them.  One pass of
     L - 1 Horner steps in x evaluates every row; then y = x^(L-1) * x =
     x^L, and B - 1 Horner steps in y take the row values as coefficients.
     A step in y multiplies by a full-width point and costs about two in x,
-    so B minimizes k/B + 2B.  For k <= 7, B = 1 and this is
-    ``_numpy_block``."""
+    so B minimizes k/B + 2B.  The powers of y and the combining steps are a
+    fixed cost that two rows do not repay, so below B = 3, that is for
+    k < 18, this is ``_numpy_block`` on one row."""
     xs = _field_points(seed, xs)
     if not compiled():
         w = seed.field.width_bits
         values = [_horner(seed.coeffs, x, w) for x in xs.ravel().tolist()]
         return "pure-Python", np.array(values, dtype=np.uint64).reshape(xs.shape)
-    return "numpy", _numpy_block(seed, xs, max(1, isqrt(seed.indep_k // 2)))
+    rows = isqrt(seed.indep_k // 2)
+    return "numpy", _numpy_block(seed, xs, rows if rows >= 3 else 1)
 
 
 def _point_quarters(x, field: FieldSpec):

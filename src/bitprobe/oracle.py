@@ -6,25 +6,27 @@ to sampling is not an oracle.  ``slot_overlap_counts`` counts each stage
 against its stored Bitmap as it is.
 
 The encoder and the oracle share one evaluation kernel and one counter, so
-a fault in either would otherwise certify itself.  Two samples per stage,
+a fault in either would otherwise certify itself.  Samples per stage,
 drawn by an rng keyed by the seed, cross-check them:
 
-- edge indices, evaluated by the edge scan's ``poly_eval_block`` and again
-  by ``gf.reference_block`` on a route that the scan does not take;
-- left vertices, counted by ``slot_overlap_counts`` (the compiled fused
-  count where it runs) and again by ``reduction.scan_overlap_counts``,
-  the edge scan and a numpy bit test.
+- on both routes, edge indices, evaluated by the edge scan's
+  ``poly_eval_block`` and again by ``gf.reference_block`` on a route that
+  the scan does not take: numpy on the compiled route, pure Python on the
+  numpy route;
+- on the compiled route only, left vertices, counted by
+  ``slot_overlap_counts`` (the compiled fused count) and again by
+  ``reduction.scan_overlap_counts``, the edge scan and a numpy bit test.
 
 On the compiled route the fused count evaluates through the very
 ``horner`` loop that the edge sample checks, and the count sample checks
 its walk over the rows, mask and bit test.  The edge sample's reference
 there is numpy alone, and it evaluates in another order than that loop:
-from k = 8 on it splits the coefficients into rows and combines their
+from k = 18 on it splits the coefficients into rows and combines their
 values by Horner in x^L (see ``gf.reference_block``), so that its
 ``EDGE_SAMPLES`` points cost about 2*sqrt(2k) numpy steps instead of
 k - 1.  On the numpy route ``slot_overlap_counts`` is
-``scan_overlap_counts``: the count sample compares the scan with itself,
-and only the edge sample, numpy against pure Python, checks a kernel.
+``scan_overlap_counts``, so a count sample there would compare the scan
+with itself; it is not drawn, and the edge sample checks the kernel.
 
 Every stage's full count runs on one worker thread.  The compiled count
 releases the GIL, so there the calling thread checks the samples
@@ -50,7 +52,7 @@ from .scheme import Scheme
 PROBE_BUDGET_ELEMENTS = 1 << 20
 # Edges per stage that error_profile re-derives on a second route.
 EDGE_SAMPLES = 256
-# Left vertices per stage whose count error_profile re-counts on the scan.
+# Left vertices per stage whose compiled count error_profile re-counts on the scan.
 COUNT_SAMPLES = 16
 
 
@@ -106,11 +108,11 @@ def _check_samples(g: SeededGraph, marked, stage: int) -> None:
     """Raise KernelMismatch unless, drawn by an rng keyed by the seed,
     ``EDGE_SAMPLES`` edge indices evaluate the same through
     ``poly_eval_block`` (the route of the edge scan) as through
-    ``reference_block`` (a route the scan does not take), and then
-    ``COUNT_SAMPLES`` left vertices count the same slots on set bits of
-    ``marked`` through ``slot_overlap_counts`` as through
-    ``scan_overlap_counts``.  On the numpy route those are one counter,
-    and only the edge sample checks a kernel."""
+    ``reference_block`` (a route the scan does not take), and then, on the
+    compiled route, ``COUNT_SAMPLES`` left vertices count the same slots on
+    set bits of ``marked`` through ``slot_overlap_counts`` as through
+    ``scan_overlap_counts``.  On the numpy route those are one counter, so
+    the count sample is not drawn."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
@@ -121,6 +123,8 @@ def _check_samples(g: SeededGraph, marked, stage: int) -> None:
         i = bad[0]
         raise KernelMismatch(f"stage {stage}: edge index {edges[i]} evaluates to {scanned[i]} "
                              f"in the edge scan but to {reference[i]} on the {route} route")
+    if not compiled():
+        return
     rows = np.array([rng.randrange(p.m) for _ in range(COUNT_SAMPLES)], dtype=np.int64)
     counted = slot_overlap_counts(g, marked, rows)
     rescanned = scan_overlap_counts(g, marked, rows)
@@ -138,13 +142,13 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     The number of probe tuples (one slot per stage, d^stages of them) that
     answer x true factors into the product of the per-stage slot overlaps.
     The product is exact in int64: derived sizing has 2 d^2 n_cap <= s
-    <= 2^64, so d^2 < 2^63.  Each stage's edge scan and count are first
-    cross-checked on samples (see ``_check_samples``); a disagreement
-    raises KernelMismatch.  The full counts of all stages run on a worker
-    thread, beside this thread's sample checks on the compiled route, and
-    none is used until every sample has passed.  A sample's
-    KernelMismatch, or else whatever the count raised, is raised once the
-    worker has ended.
+    <= 2^64, so d^2 < 2^63.  Each stage's edge scan, and on the compiled
+    route its count, is first cross-checked on samples (see
+    ``_check_samples``); a disagreement raises KernelMismatch.  The full
+    counts of all stages run on a worker thread, beside this thread's
+    sample checks on the compiled route, and none is used until every
+    sample has passed.  A sample's KernelMismatch, or else whatever the
+    count raised, is raised once the worker has ended.
     """
     p = sch.params
     stages = len(sch.stages)

@@ -303,8 +303,9 @@ def test_compiled_route_reference_matches_power_sum(field, monkeypatch, k, salt,
     assert values.tolist() == np.vectorize(want.get, otypes=[np.uint64])(xs).tolist()
 
 
-def test_the_reference_splits_from_k_8_on(monkeypatch):
-    # B = isqrt(k // 2) rows; for k <= 7 that is 1, the fallback's one-row Horner
+def test_the_reference_splits_from_k_18_on(monkeypatch):
+    # B = isqrt(k // 2) rows where that is at least 3, from k = 18 on; below,
+    # the fallback's one-row Horner, which two rows do not beat
     monkeypatch.setattr(_clmul, "_lib", RefusingLoop)
     numpy_block, rows = gf._numpy_block, {}
 
@@ -315,7 +316,7 @@ def test_the_reference_splits_from_k_8_on(monkeypatch):
     monkeypatch.setattr(gf, "_numpy_block", note_rows)
     for k in (1, 2, 4, 6, 7, 8, 17, 18, 36, 100, 196, 300):
         reference_block(PolySeed((1,) * k, GF2_64), np.arange(4, dtype=np.uint64))
-    assert rows == {1: 1, 2: 1, 4: 1, 6: 1, 7: 1, 8: 2, 17: 2, 18: 3, 36: 4, 100: 7, 196: 9,
+    assert rows == {1: 1, 2: 1, 4: 1, 6: 1, 7: 1, 8: 1, 17: 1, 18: 3, 36: 4, 100: 7, 196: 9,
                     300: 12}
 
 

@@ -1,6 +1,7 @@
 """The compiled Horner loop: equal to both fallback routes, built lazily
 into the cache, and replaced by the fallback wherever it cannot run."""
 
+import contextlib
 import functools
 import hashlib
 import importlib.util
@@ -212,12 +213,13 @@ def test_nothing_is_built_off_x86_64(tmp_path, monkeypatch, reload_kernel):
 def test_two_processes_building_at_once_share_one_library(tmp_path):
     # each child also shows that the compiled route imports no ffi package,
     # and a third, loading from the cache, that a cached load runs no build
+    # and hashes without hashlib
     script = ("import sys\n"
               "from bitprobe import _clmul, gf\n"
               "assert _clmul._lib() is not None\n"
               "print(gf.poly_eval(gf.PolySeed((3, 5, 1 << 63), gf.GF2_64), 11),\n"
               "      sorted({'cffi', 'pycparser'} & set(sys.modules)),\n"
-              "      'subprocess' in sys.modules)\n")
+              "      sorted({'hashlib', 'subprocess'} & set(sys.modules)))\n")
     env = child_env(XDG_CACHE_HOME=str(tmp_path))
 
     def start():
@@ -228,9 +230,9 @@ def test_two_processes_building_at_once_share_one_library(tmp_path):
     outputs = [child.communicate(timeout=120) for child in children]
     assert [child.returncode for child in children] == [0, 0], outputs
     want = naive_poly_eval((3, 5, 1 << 63), 11, 64, GF2_64.reduction_poly)
-    assert [out.rpartition(" ")[0] for out, _ in outputs] == [f"{want} []"] * 2
+    assert [out.rpartition(" [")[0] for out, _ in outputs] == [f"{want} []"] * 2
     cached = start()
-    assert cached.communicate(timeout=120) == (f"{want} [] False\n", "")
+    assert cached.communicate(timeout=120) == (f"{want} [] []\n", "")
     [library] = os.listdir(tmp_path / "bitprobe")
     assert library.startswith("clmul-")
     assert library.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
@@ -325,6 +327,49 @@ def test_count_takes_int64_rows_and_the_last_row_that_fits():
     rows, out = np.array([0, 7], dtype=np.int64), np.full(2, 7, dtype=np.int64)
     lib.count(WORDS[:8], rows, out, 32, 63, PACKED, 8, 0x1B)  # row 7 ends at 255
     assert out.tolist() == [32, 32]  # the constant polynomial 1 reads bit 1 in every slot
+
+
+GOOD_CALLS = {
+    "horner": lambda lib, xs, out: lib.horner(WORDS, xs, out, *GF64),
+    "horner1": lambda lib, xs, out: lib.horner1(WORDS, 5, *GF64),
+    "count": lambda lib, xs, out: lib.count(WORDS, xs, out, 4, 63, PACKED, *GF64),
+}
+
+
+class ReleaseGate:
+    """The compiled entry points, but each call passes its bytes (coeffs,
+    packed) as bytearrays and checks on its way out that every buffer
+    argument was released: its refcount is what it was before the call, and
+    a bytearray resizes, which one with a view still taken refuses."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
+
+    def __getattr__(self, name):
+        def call(*args):
+            args = [bytearray(a) if isinstance(a, bytes) else a for a in args]
+            buffers = [a for a in args if isinstance(a, (bytearray, np.ndarray))]
+            before = [sys.getrefcount(b) for b in buffers]
+            self.calls += 1
+            try:
+                return getattr(self.lib, name)(*args)
+            finally:
+                assert [sys.getrefcount(b) for b in buffers] == before, name
+                for b in buffers:
+                    if isinstance(b, bytearray):
+                        b.append(0)  # BufferError while a view is taken
+
+        return call
+
+
+@pytest.mark.parametrize("case", [*BAD_CALLS, *GOOD_CALLS])
+def test_compiled_entry_points_release_every_buffer(case):
+    gate = ReleaseGate(compiled_lib())
+    xs, out = np.arange(8, dtype=np.uint64), np.full(8, 7, dtype=np.uint64)
+    rejected = case in BAD_CALLS
+    with pytest.raises((ValueError, OverflowError)) if rejected else contextlib.nullcontext():
+        (BAD_CALLS if rejected else GOOD_CALLS)[case](gate, xs, out)
+    assert gate.calls == 1
 
 
 @can_build

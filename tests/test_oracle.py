@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitprobe import oracle, scheme_one, scheme_two
+from bitprobe import oracle, reduction, scheme_one, scheme_two
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme, greedy_label
 from bitprobe.oracle import BudgetExceeded, error_profile
@@ -113,6 +113,26 @@ def test_samples_run_beside_the_count_only_where_it_releases_the_gil(route, monk
     monkeypatch.setattr(oracle, "_check_samples", samples)
     assert error_profile(sch, A).per_element.tolist() == want
     assert seen == [route == "compiled"] * 2
+
+
+@pytest.mark.parametrize("route", ["compiled", "numpy"], indirect=True)
+def test_the_scan_recounts_a_sample_only_of_the_compiled_count(route, monkeypatch):
+    # on the numpy route slot_overlap_counts is the scan, which a count
+    # sample would compare with itself: there each stage is scanned once,
+    # for its full count
+    A = [3, 40, 77, 100]
+    sch = scheme_two.encode(A, 7, Fraction(1, 4), indep_k=6, master_seed=8)
+    scan, scanned = reduction.scan_overlap_counts, []
+
+    def spy(g, marked, rows):
+        scanned.append(len(rows))
+        return scan(g, marked, rows)
+
+    monkeypatch.setattr(reduction, "scan_overlap_counts", spy)
+    monkeypatch.setattr(oracle, "scan_overlap_counts", spy)
+    error_profile(sch, A)
+    full, sample = sch.params.m, oracle.COUNT_SAMPLES
+    assert sorted(scanned) == ([full] * 2 if route == "numpy" else [sample] * 2)
 
 
 def test_profile_of_bmrv_labeling_can_be_two_sided():
