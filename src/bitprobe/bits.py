@@ -9,14 +9,14 @@ import numpy as np
 
 class Bitmap:
     def __init__(self, nbits: int, buf=None):
-        """All zeros, or a copy of the bytes-like buf of ceil(nbits/8) bytes."""
+        """All zeros, or the bytes-like buf of ceil(nbits/8) bytes, held as bytes."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
         nbytes = (nbits + 7) >> 3
         if buf is not None and len(buf) != nbytes:
             raise ValueError(f"buffer length {len(buf)} != {nbytes} for {nbits} bits")
         self.nbits = nbits
-        self._buf = bytearray(nbytes if buf is None else buf)
+        self._buf = bytes(nbytes if buf is None else buf)
 
     @classmethod
     def from_bool_array(cls, arr) -> "Bitmap":
@@ -33,7 +33,7 @@ class Bitmap:
                              bitorder="little").view(bool)
 
     def to_bytes(self) -> bytes:
-        return bytes(self._buf)
+        return self._buf
 
     def __len__(self) -> int:
         return self.nbits

@@ -93,17 +93,16 @@ def neighbor(g: SeededGraph, v: int, i: int) -> int:
 
 
 def left_vertices(g: SeededGraph, vs) -> np.ndarray:
-    """vs as a contiguous int64 array; the first one outside [0, m)
-    raises, named as ``neighbor`` names it."""
+    """vs as a contiguous int64 array; non-integers raise, and so does the
+    first vertex outside [0, m), named as ``neighbor`` names it."""
     m = g.params.m
-    try:
-        vs = np.ascontiguousarray(vs, dtype=np.int64)
-    except OverflowError:  # an int beyond int64 is named below like any other
-        vs = np.asarray(vs, dtype=object)
+    vs = np.asarray(vs)  # an int beyond int64 comes as uint64 or object, named below
+    if vs.size and vs.dtype.kind not in "biuO":
+        raise ValueError(f"left vertices must be integers, not {vs.dtype}")
     bad = vs[(vs < 0) | (vs >= m)]
     if bad.size:
         raise ValueError(f"left vertex {bad[0]} out of range [0, {m})")
-    return vs
+    return np.ascontiguousarray(vs, dtype=np.int64)
 
 
 def edge_targets(g: SeededGraph, vs) -> np.ndarray:

@@ -35,6 +35,7 @@ SCAN_CHUNK_POINTS = 1 << 18
 class ReductionReport:
     violating: tuple
     scope_size: int
+    marked: Bitmap  # the Gamma(A) the scope was counted against, as encoders store it
 
     @property
     def holds(self) -> bool:
@@ -87,9 +88,8 @@ def check_strong_reduction(g: SeededGraph, A, eps, scope=None) -> ReductionRepor
         scope = set(scope)
         if scope & A:
             raise ValueError("scope must be disjoint from A")
-        rows = np.asarray(sorted(scope), dtype=np.int64)
-    if not rows.size:
-        return ReductionReport((), 0)
-    counts = slot_overlap_counts(g, neighborhood_bitmap(g, A), rows)
+        rows = left_vertices(g, sorted(scope))
+    marked = neighborhood_bitmap(g, A)
+    counts = slot_overlap_counts(g, marked, rows)
     violating = tuple(int(v) for v in rows[counts >= overlap_threshold(p.d, eps)])
-    return ReductionReport(violating, len(rows))
+    return ReductionReport(violating, len(rows), marked)

@@ -7,6 +7,7 @@ cached word), with a bitmap over the graph's right side (the main storage).
 the seed stream, the retry loop, the query and the exact rate live here.
 """
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,8 +70,10 @@ class Scheme:
 
 
 def check_set(A, params: GraphParams) -> list:
-    """A sorted and deduplicated, after checking it fits the graph."""
+    """A sorted and deduplicated, after checking it is integers that fit the graph."""
     A = sorted(set(A))
+    if not all(isinstance(x, numbers.Integral) for x in A):
+        raise ValueError("elements must be integers")
     if A and (A[0] < 0 or A[-1] >= params.m):
         raise ValueError("element out of range [0, m)")
     if len(A) > params.n_cap:
@@ -82,7 +85,7 @@ def encode(cls, A, universe_bits: int, eps, *, n_cap: int | None = None,
            indep_k: int | None = None, field: FieldSpec = GF2_64, **options):
     """Size the graph for A (n_cap defaults to |A|, indep_k to u^2) and build
     a cls scheme by `encode_with_params` with the other options."""
-    A = sorted(set(A))
+    A = set(A)  # |A|; check_set sorts and checks it
     if n_cap is None:
         n_cap = max(len(A), 1)
     params = derive_params(universe_bits, n_cap, Fraction(eps), field)

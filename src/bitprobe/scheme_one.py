@@ -9,7 +9,7 @@ slot_overlap/d < eps.
 """
 
 from . import scheme
-from .graph import SeededGraph, neighborhood_bitmap
+from .graph import SeededGraph
 from .reduction import check_strong_reduction
 from .scheme import Scheme, Stage
 
@@ -26,9 +26,10 @@ class OneProbeScheme(Scheme):
     @staticmethod
     def build_stages(A, eps, search):
         """The first seed with the strong reduction property for A."""
-        g, _, retries = search(lambda g: check_strong_reduction(g, A, eps).holds or None,
-                               "strong reduction failed for every seed")
-        return (Stage(g, neighborhood_bitmap(g, A), retries),), 0
+        g, report, retries = search(
+            lambda g: r if (r := check_strong_reduction(g, A, eps)).holds else None,
+            "strong reduction failed for every seed")
+        return (Stage(g, report.marked, retries),), 0
 
 
 def encode(A, universe_bits: int, eps, **options) -> OneProbeScheme:

@@ -14,7 +14,7 @@ decodable graph could be dropped in.
 """
 
 from . import scheme
-from .graph import SeededGraph, neighborhood_bitmap
+from .graph import SeededGraph
 from .reduction import check_strong_reduction
 from .scheme import Scheme, Stage
 
@@ -37,15 +37,15 @@ class TwoProbeScheme(Scheme):
     def build_stages(A, eps, search):
         """Stage 1: a seed with |W| <= |A|/2; stage 2: strong reduction on W."""
         def few_misclassified(g):
-            w = check_strong_reduction(g, A, eps).violating
-            return w if len(w) <= len(A) // 2 else None
+            report = check_strong_reduction(g, A, eps)
+            return report if len(report.violating) <= len(A) // 2 else None
 
-        g1, w, retries1 = search(few_misclassified, "stage 1: |W| bound failed for every seed")
-        g2, _, retries2 = search(
-            lambda g: check_strong_reduction(g, A, eps, scope=w).holds or None,
+        g1, first, retries1 = search(few_misclassified, "stage 1: |W| bound failed for every seed")
+        w = first.violating
+        g2, second, retries2 = search(
+            lambda g: r if (r := check_strong_reduction(g, A, eps, scope=w)).holds else None,
             "stage 2: restricted reduction failed for every seed")
-        return (Stage(g1, neighborhood_bitmap(g1, A), retries1),
-                Stage(g2, neighborhood_bitmap(g2, A), retries2)), len(w)
+        return (Stage(g1, first.marked, retries1), Stage(g2, second.marked, retries2)), len(w)
 
 
 def encode(A, universe_bits: int, eps, **options) -> TwoProbeScheme:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitprobe import _clmul, cli, gf, graph, oracle, scheme_one, storage
+from bitprobe import _clmul, cli, gf, graph, oracle, reduction, scheme_one, storage
 from bitprobe.bits import Bitmap
 from bitprobe.cli import main
 from bitprobe.graph import neighbor
@@ -341,6 +341,35 @@ def test_verify_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, cap
                  "--trials", "1", "--indep-k", "6"]) == 1
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert rows[0]["status"] == "KernelMismatch"
+
+
+def test_verify_fails_when_only_the_large_counts_are_wrong(tmp_path, capsys, monkeypatch):
+    # a fault in calls of more rows than a count sample, as the full counts
+    # that count splits over threads are, shows in the counts the profile
+    # multiplies; here every partial overlap reads 0, so without that check
+    # every non-member would look error-free and the verdict would hold
+    if not gf.compiled():
+        pytest.skip("the compiled route is not loaded")
+    members = [3, 17, 40, 58]
+    out, _ = build(tmp_path, members, capsys, u=6)
+    count = reduction.overlap_counts
+
+    def lose_partial_overlaps(seed, rows, d, s, packed):
+        counts = count(seed, rows, d, s, packed)
+        if len(rows) > oracle.COUNT_SAMPLES:
+            counts[counts < d] = 0
+        return counts
+
+    monkeypatch.setattr(reduction, "overlap_counts", lose_partial_overlaps)
+    mismatch = (r"stage 1: left vertex \d+ has 0 probe slots on set bits in the count but "
+                r"[1-9]\d* in the edge scan")
+    with pytest.raises(oracle.KernelMismatch, match=f"^{mismatch}$"):
+        oracle.error_profile(storage.load(Path(out).read_bytes()), members)
+    csv_path = tmp_path / "profile.csv"
+    assert main(["verify", out, write_set(tmp_path, members), "-o", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"verify failed: {mismatch}\n", err), err
+    assert not csv_path.exists()
 
 
 def test_verify_fails_when_the_numpy_route_disagrees_with_pure_python(tmp_path, capsys,

@@ -13,6 +13,7 @@ from bitprobe.graph import (
     SeededGraph,
     derive_params,
     edge_targets,
+    left_vertices,
     neighbor,
     neighborhood_bitmap,
 )
@@ -125,6 +126,18 @@ def test_neighbor_range_checks():
         neighbor(g, 0, 2)
     with pytest.raises(ValueError):
         neighbor(g, -1, 0)
+
+
+def test_left_vertices_reject_floats_and_keep_empty_input():
+    # a float is refused, not truncated to the vertex below it
+    g = SeededGraph(toy_params(m=8, s=4, d=2, eps=Fraction(1, 2)), PolySeed((0,), GF2_64))
+    for vs in ([2.7], [3.9, 4], np.array([1.0])):
+        with pytest.raises(ValueError, match="^left vertices must be integers, not float64$"):
+            left_vertices(g, vs)
+    for vs in ([], np.array([], dtype=np.uint64)):
+        empty = left_vertices(g, vs)
+        assert empty.dtype == np.int64 and empty.size == 0
+    assert left_vertices(g, np.array([7, 0], dtype=np.uint64)).tolist() == [7, 0]
 
 
 def test_neighborhood_bitmap_empty_set():

@@ -130,6 +130,17 @@ def test_strong_reduction_empty_set():
     assert overlap_threshold(g.params.d, Fraction(1, 2)) == 2
 
 
+@on_both_routes("scope", [None, []])
+def test_an_empty_scope_is_counted_and_still_reports_gamma_a(scope, route):
+    # A covers L, or the scope is empty: zero rows are counted on either
+    # route, and the report still carries the Gamma(A) an encoder stores
+    g = random_explicit_graph(random.Random(4), m=6, s=16, d=3)
+    A = range(6) if scope is None else [1, 4]
+    report = check_strong_reduction(g, A, Fraction(1, 2), scope=scope)
+    assert report.holds and report.scope_size == 0
+    assert report.marked == neighborhood_bitmap(g, A)
+
+
 def test_strong_reduction_star_graph_everything_violates():
     g = star_graph(m=6, d=4)
     report = check_strong_reduction(g, [0], Fraction(1, 2))
@@ -175,6 +186,8 @@ def test_strong_reduction_rejects_overlapping_scope():
     g = random_explicit_graph(random.Random(1), m=8, s=16, d=2)
     with pytest.raises(ValueError):
         check_strong_reduction(g, [1, 2], Fraction(1, 2), scope=[2, 3])
+    with pytest.raises(ValueError, match="must be integers"):  # not truncated to [2, 3]
+        check_strong_reduction(g, [1], Fraction(1, 2), scope=[2.5, 3])
 
 
 def test_probe_overlap_monotone_in_marked_set():

@@ -102,11 +102,12 @@ def test_query_rejects_out_of_range_probe_and_element():
 @pytest.mark.parametrize("kind_encode", [scheme_one.encode, scheme_two.encode, bmrv.encode],
                          ids=["one", "two", "bmrv"])
 def test_capacity_and_range_validation(monkeypatch, kind_encode):
-    # Every kind checks A before it draws its first candidate seed.
+    # Every kind checks A before it draws its first candidate seed; a float
+    # is not truncated to the vertex below it.
     drawn = []
     draw_seed = scheme.draw_seed
     monkeypatch.setattr(scheme, "draw_seed", lambda *a: drawn.append(a) or draw_seed(*a))
-    for A, n_cap in [([1, 2], 1), ([8], None), ([-1], None)]:
+    for A, n_cap in [([1, 2], 1), ([8], None), ([-1], None), ([3.9, 1], None)]:
         with pytest.raises(ValueError):
             kind_encode(A, 3, Fraction(1, 2), n_cap=n_cap, indep_k=2)
     assert drawn == []

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from bitprobe import scheme
+from bitprobe import graph, reduction, scheme, scheme_one, scheme_two
 from bitprobe.graph import GraphParams, neighborhood_bitmap
 from bitprobe.reduction import check_strong_reduction, overlap_threshold
 from bitprobe.scheme import RetriesExhausted, exact_error
+from bitprobe.scheme_one import OneProbeScheme
 from bitprobe.scheme_two import TwoProbeScheme, encode, query
 
 from helpers import CountingBitmap, FixedProbes, explicit_graph, probe_overlap, with_bitmaps
@@ -70,6 +71,26 @@ def test_w_bound_and_bitmaps_exact():
     report = check_strong_reduction(sch.g2, W_SET, sch.params.eps, scope=w)
     assert report.holds
     assert report.scope_size == sch.w_size
+
+
+@pytest.mark.parametrize("kind", [OneProbeScheme, TwoProbeScheme], ids=["one", "two"])
+def test_an_encode_builds_gamma_a_once_per_acceptance_check(kind, monkeypatch):
+    # each stage stores the bitmap its accepted check counted against, so
+    # the candidates drawn (retries, summed over the stages) are all the
+    # builds there are
+    build, built = neighborhood_bitmap, []
+
+    def spy(g, A):
+        built.append(g)
+        return build(g, A)
+
+    for module in (graph, reduction, scheme, scheme_one, scheme_two):
+        if getattr(module, "neighborhood_bitmap", None) is build:
+            monkeypatch.setattr(module, "neighborhood_bitmap", spy)
+    sch = scheme.encode_with_params(kind, W_SET, W_PARAMS, indep_k=3, master_seed=0)
+    assert sch.retries > len(sch.stages)  # 52 for one, 8 + 3 for two
+    assert len(built) == sch.retries
+    assert [st.bitmap for st in sch.stages] == [build(st.graph, W_SET) for st in sch.stages]
 
 
 def test_members_always_true_over_all_probe_pairs():

@@ -50,6 +50,16 @@ def test_bitmap_packing_is_lsb_first():
         bm.get(12)
 
 
+def test_bitmap_holds_its_bytes_and_lends_them_uncopied():
+    # every count, scan and save reads to_bytes(); the bytes are immutable,
+    # so no caller needs a copy of its own
+    stored = bytearray([0b00001001, 0b00000001])
+    bm = Bitmap(12, stored)
+    stored[0] = 0
+    assert bm.to_bytes() is bm.to_bytes()
+    assert bm.to_bytes() == bytes([0b00001001, 0b00000001]) and bm.get(0) == 1
+
+
 @pytest.mark.parametrize("make", [one_probe, two_probe, bmrv_scheme])
 def test_roundtrip_identity_and_byte_stable(make):
     sch = make()

@@ -9,7 +9,10 @@ counts, its own definition does not) or by the benchmark harness in
 alone: every caller imports a module, so a flat namespace of re-exports
 would be a second copy that nothing reads.  No module reaches for another
 module's underscore name, and only ``gf`` touches ``_clmul``: ``gf`` alone
-picks the evaluation route.  The harness is read here, never written.
+picks the evaluation route.  Only ``graph``, which defines it, and
+``reduction`` name ``neighborhood_bitmap``: a stored Gamma(A) is the one
+that its acceptance check counted against.  The harness is read here,
+never written.
 """
 
 import ast
@@ -98,3 +101,19 @@ def test_package_init_binds_no_names():
     tree = parse(INIT)
     assert ast.get_docstring(tree) and len(tree.body) == 1, \
         "__init__.py must hold its docstring alone"
+
+
+def names_in(tree: ast.Module) -> set:
+    """Every name that tree reads, imports or defines."""
+    names = set(name_counts(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_graph_and_reduction_name_neighborhood_bitmap():
+    naming = {path.stem for path in PACKAGE if "neighborhood_bitmap" in names_in(parse(path))}
+    assert naming == {"graph", "reduction"}, f"modules that build a Gamma(A) bitmap: {naming}"
