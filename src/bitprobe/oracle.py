@@ -15,7 +15,10 @@ drawn by an rng keyed by the seed, cross-check them:
   numpy route;
 - on the compiled route only, left vertices, whose entries in the full
   fused count that the profile multiplies are counted again by
-  ``reduction.scan_overlap_counts``, the edge scan and a numpy bit test.
+  ``reduction.scan_overlap_counts``, the edge scan and a numpy bit test:
+  ``COUNT_SAMPLES`` drawn ones, and always the first and last row of every
+  run that the count can split its rows into (``count_run_ends``), so that
+  a fault at the ends of the rows or of a thread's run is never missed.
 
 On the compiled route the fused count evaluates through the very ``horner``
 loop that the edge sample checks, and the count sample checks its walk over
@@ -52,8 +55,11 @@ from .scheme import Scheme
 PROBE_BUDGET_ELEMENTS = 1 << 20
 # Edges per stage that error_profile re-derives on a second route.
 EDGE_SAMPLES = 256
-# Left vertices per stage whose full compiled count error_profile re-counts on the scan.
+# Left vertices per stage whose full compiled count error_profile re-counts on
+# the scan, drawn beside those of count_run_ends.
 COUNT_SAMPLES = 16
+# The most runs that the compiled count splits its rows into (MAX_WORKERS in _clmul.c).
+COUNT_RUNS = 4
 
 
 class BudgetExceeded(Exception):
@@ -104,15 +110,23 @@ class ErrorProfile:
         return self.false_negative_count == 0 and self.max_nonmember_error < self.eps
 
 
+def count_run_ends(m: int) -> list:
+    """Sorted, the first and last row of every run of contiguous rows that
+    the compiled count can split m rows into, rows 0 and m - 1 among them."""
+    return sorted({end for runs in range(1, min(COUNT_RUNS, m) + 1) for part in range(runs)
+                   for end in (m * part // runs, m * (part + 1) // runs - 1)})
+
+
 def _check_samples(g: SeededGraph, marked, stage: int):
     """Raise KernelMismatch unless, drawn by an rng keyed by the seed,
     ``EDGE_SAMPLES`` edge indices evaluate the same through
     ``poly_eval_block`` (the route of the edge scan) as through
     ``reference_block`` (a route the scan does not take).  On the compiled
-    route, return ``COUNT_SAMPLES`` left vertices drawn next and their
-    counts of slots on set bits of ``marked`` through
-    ``scan_overlap_counts``, for ``error_profile`` to compare with its full
-    count; on the numpy route that count is the scan, so return None."""
+    route, return the sorted left vertices of ``count_run_ends`` and
+    ``COUNT_SAMPLES`` more drawn next, and their counts of slots on set
+    bits of ``marked`` through ``scan_overlap_counts``, for
+    ``error_profile`` to compare with its full count; on the numpy route
+    that count is the scan, so return None."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
@@ -125,7 +139,8 @@ def _check_samples(g: SeededGraph, marked, stage: int):
                              f"in the edge scan but to {reference[i]} on the {route} route")
     if not compiled():
         return None
-    rows = np.array([rng.randrange(p.m) for _ in range(COUNT_SAMPLES)], dtype=np.int64)
+    drawn = {rng.randrange(p.m) for _ in range(COUNT_SAMPLES)}
+    rows = np.array(sorted(drawn.union(count_run_ends(p.m))), dtype=np.int64)
     return rows, scan_overlap_counts(g, marked, rows)
 
 

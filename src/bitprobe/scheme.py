@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bitmap
-from .gf import GF2_64, FieldSpec, default_indep_k, draw_seed
-from .graph import GraphParams, SeededGraph, derive_params, neighbor
+from .gf import GF2_64, FieldSpec, default_indep_k, draw_seed, poly_eval
+from .graph import GraphParams, SeededGraph, derive_params
 from .reduction import slot_overlap_counts
 
 DEFAULT_MAX_RETRIES = 64
@@ -117,23 +117,35 @@ def encode_with_params(cls, A, params: GraphParams, *, indep_k: int, master_seed
 
 def draw_probes(rng, stages: int, d: int) -> list:
     """One probe index per stage, drawn from rng in stage order."""
-    drawn = []  # a loop: a comprehension's frame costs more per query on 3.11
-    for _ in range(stages):
-        drawn.append(rng.randrange(d))
-    return drawn
+    return [rng.randrange(d) for _ in range(stages)]
 
 
 def query(sch: Scheme, x: int, rng) -> bool:
-    """AND of one bit from each stage's bitmap.  The reads stop at the
-    first 0; the probe indices are all drawn from rng up front (the probes
-    are non-adaptive)."""
+    """AND of one bit from each stage's bitmap.  x is checked once; then
+    one probe index i per stage is drawn by ``rng.randrange(d)`` in stage
+    order, as ``draw_probes`` draws them, and checked, all before the
+    first read (the probes are non-adaptive).  A stage reads its bitmap at
+    ``neighbor(graph, x, i)``, evaluated here without checking x and i
+    again: one ``poly_eval`` and one ``Bitmap.get``.  The reads stop at
+    the first 0."""
     stages = sch.stages
     p = stages[0].graph.params
+    d = p.d
     if not 0 <= x < p.m:
         raise ValueError(f"element {x} out of range [0, {p.m})")
-    for st, i in zip(stages, draw_probes(rng, len(stages), p.d)):
-        if not st.bitmap.get(neighbor(st.graph, x, i)):
+    base = x * d
+    points = []  # loops, not zip or a comprehension: each costs more per query on 3.11
+    for _ in stages:
+        i = rng.randrange(d)
+        if not 0 <= i < d:
+            raise ValueError(f"probe index {i} out of range [0, {d})")
+        points.append(base + i)
+    top = p.s - 1
+    j = 0
+    for st in stages:
+        if not st.bitmap.get(poly_eval(st.graph.seed, points[j]) & top):
             return False
+        j += 1
     return True
 
 

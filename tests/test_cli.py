@@ -311,24 +311,25 @@ def test_verify_fails_when_the_compiled_route_disagrees_with_numpy(tmp_path, cap
     assert rows[0]["status"] == "KernelMismatch"
 
 
-def test_verify_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, capsys,
-                                                                  monkeypatch):
-    lib = _clmul._lib()
-    if lib is None:
-        pytest.skip("the compiled route is not loaded")
-    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+def miscount(lib, end: slice):
+    """The compiled loop, but the fused count adds 1 to the rows at ``end``
+    of every call: out[:1] its first row, out[-1:] its last."""
 
-    class MiscountFirstRow:
-        """The compiled loop, but the fused count adds 1 to its first row."""
+    class Miscount:
         horner = lib.horner
         horner1 = lib.horner1
 
         @staticmethod
         def count(coeffs, rows, out, d, top, packed, w, mask):
             lib.count(coeffs, rows, out, d, top, packed, w, mask)
-            out[:1] += 1
+            out[end] += 1
 
-    monkeypatch.setattr(_clmul, "_lib", MiscountFirstRow)
+    return Miscount
+
+
+def verify_fails_on_a_miscounted_row(tmp_path, capsys, out):
+    """verify of the scheme file out exits 1, writes no CSV, and names a row
+    whose count is its scan's plus 1."""
     csv_path = tmp_path / "profile.csv"
     assert main(["verify", out, write_set(tmp_path, [3, 17, 40, 58]), "-o", str(csv_path)]) == 1
     err = capsys.readouterr().err
@@ -337,10 +338,35 @@ def test_verify_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, cap
     counted, scanned = map(int, re.findall(r"has (\d+) .* but (\d+) ", err)[0])
     assert counted == scanned + 1
     assert not csv_path.exists()
+
+
+def test_verify_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, capsys,
+                                                                  monkeypatch):
+    lib = _clmul._lib()
+    if lib is None:
+        pytest.skip("the compiled route is not loaded")
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6)
+    monkeypatch.setattr(_clmul, "_lib", miscount(lib, slice(None, 1)))
+    verify_fails_on_a_miscounted_row(tmp_path, capsys, out)
     assert main(["bench", "--u-list", "6", "--n-list", "2", "--eps-list", "1/2",
                  "--trials", "1", "--indep-k", "6"]) == 1
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert rows[0]["status"] == "KernelMismatch"
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("end", [slice(None, 1), slice(-1, None)], ids=["first", "last"])
+def test_verify_fails_when_the_first_or_last_row_is_miscounted(tmp_path, capsys, monkeypatch,
+                                                                end, master_seed):
+    # the count sample always holds rows 0 and m - 1, whichever rows its
+    # seed draws: a fault in one of them alone is caught under every seed
+    lib = _clmul._lib()
+    if lib is None:
+        pytest.skip("the compiled route is not loaded")
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, u=6,
+                   extra=("--master-seed", str(master_seed)))
+    monkeypatch.setattr(_clmul, "_lib", miscount(lib, end))
+    verify_fails_on_a_miscounted_row(tmp_path, capsys, out)
 
 
 def test_verify_fails_when_only_the_large_counts_are_wrong(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -125,14 +127,34 @@ def test_the_scan_recounts_a_sample_only_of_the_compiled_count(route, monkeypatc
     scan, scanned = reduction.scan_overlap_counts, []
 
     def spy(g, marked, rows):
-        scanned.append(len(rows))
+        scanned.append(rows.tolist())
         return scan(g, marked, rows)
 
     monkeypatch.setattr(reduction, "scan_overlap_counts", spy)
     monkeypatch.setattr(oracle, "scan_overlap_counts", spy)
     error_profile(sch, A)
-    full, sample = sch.params.m, oracle.COUNT_SAMPLES
-    assert sorted(scanned) == ([full] * 2 if route == "numpy" else [sample] * 2)
+    m = sch.params.m
+    if route == "numpy":
+        assert scanned == [list(range(m))] * 2
+        return
+    # a sample: the fixed rows and COUNT_SAMPLES drawn ones, sorted and distinct
+    ends = oracle.count_run_ends(m)
+    assert len(scanned) == 2
+    for rows in scanned:
+        assert rows == sorted(set(rows)) and set(ends) <= set(rows)
+        assert len(rows) <= len(ends) + oracle.COUNT_SAMPLES < m
+
+
+def test_count_run_ends_are_the_ends_of_every_split():
+    # count splits m rows into r <= min(COUNT_RUNS, m) runs, run j holding
+    # rows [m*j // r, m*(j + 1) // r)
+    assert oracle.count_run_ends(1) == [0]
+    assert oracle.count_run_ends(2) == [0, 1]
+    assert oracle.count_run_ends(3) == [0, 1, 2]
+    assert oracle.count_run_ends(64) == [0, 15, 16, 20, 21, 31, 32, 41, 42, 47, 48, 63]
+    assert oracle.count_run_ends(128) == [0, 31, 32, 41, 42, 63, 64, 84, 85, 95, 96, 127]
+    source = Path(oracle.__file__).with_name("_clmul.c").read_text()
+    assert re.search(r"^#define MAX_WORKERS (\d+)$", source, re.M)[1] == str(oracle.COUNT_RUNS)
 
 
 def test_profile_of_bmrv_labeling_can_be_two_sided():
