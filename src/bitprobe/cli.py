@@ -22,8 +22,8 @@ import numpy as np
 from . import bmrv, scheme_one, scheme_two, storage
 from .gf import FIELD_WIDTHS, FieldSpec
 from .graph import derive_params, neighbor
-from .oracle import BudgetExceeded, KernelMismatch, error_profile
-from .scheme import DEFAULT_MAX_RETRIES, RetriesExhausted, draw_probes, exact_error, query
+from .oracle import BudgetExceeded, KernelMismatch, error_profile, positive_counts
+from .scheme import DEFAULT_MAX_RETRIES, RetriesExhausted, draw_probes, query
 
 EXIT_OK = 0
 EXIT_GUARANTEE_VIOLATED = 1
@@ -159,7 +159,8 @@ def cmd_query(args) -> int:
     print(f"answer={str(answer).lower()} "
           f"{index}={','.join(map(str, probes))} {position}={','.join(map(str, positions))}")
     if args.exact:
-        print(f"positive_rate={_format_rate(exact_error(scheme, x))}")
+        (answered,), denominator = positive_counts(scheme, [x])
+        print(f"positive_rate={_format_rate(Fraction(int(answered), denominator))}")
     elif args.trials:
         hits = sum(query(scheme, x, rng) for _ in range(args.trials))
         print(f"positive_rate={hits / args.trials} trials={args.trials}")

@@ -14,7 +14,7 @@ drawn by an rng keyed by the seed, cross-check them:
   the scan does not take: numpy on the compiled route, pure Python on the
   numpy route;
 - on the compiled route only, left vertices, whose entries in the full
-  fused count that the profile multiplies are counted again by
+  fused count that ``positive_counts`` multiplies are counted again by
   ``reduction.scan_overlap_counts``, the edge scan and a numpy bit test:
   ``COUNT_SAMPLES`` drawn ones, and always the first and last row of every
   run that the count can split its rows into (``count_run_ends``), so that
@@ -36,7 +36,7 @@ releases the GIL, so there the calling thread checks the samples
 meanwhile; the numpy scan would only contend for the GIL, so there the
 samples wait for the count.  The count sample is compared once the
 worker has joined, no count is used until every sample has passed, and
-the worker is joined before ``error_profile`` returns or raises.
+the worker is joined before ``positive_counts`` returns or raises.
 """
 
 import random
@@ -53,10 +53,10 @@ from .scheme import Scheme
 
 # error_profile default: at most 2^20 universe elements times the probe count.
 PROBE_BUDGET_ELEMENTS = 1 << 20
-# Edges per stage that error_profile re-derives on a second route.
+# Edges per stage that positive_counts re-derives on a second route.
 EDGE_SAMPLES = 256
-# Left vertices per stage whose full compiled count error_profile re-counts on
-# the scan, drawn beside those of count_run_ends.
+# Rows per stage whose full compiled count positive_counts re-counts on the
+# scan, drawn beside those of count_run_ends.
 COUNT_SAMPLES = 16
 # The most runs that the compiled count splits its rows into (MAX_WORKERS in _clmul.c).
 COUNT_RUNS = 4
@@ -117,16 +117,16 @@ def count_run_ends(m: int) -> list:
                    for end in (m * part // runs, m * (part + 1) // runs - 1)})
 
 
-def _check_samples(g: SeededGraph, marked, stage: int):
+def _check_samples(g: SeededGraph, marked, stage: int, rows: np.ndarray):
     """Raise KernelMismatch unless, drawn by an rng keyed by the seed,
     ``EDGE_SAMPLES`` edge indices evaluate the same through
     ``poly_eval_block`` (the route of the edge scan) as through
     ``reference_block`` (a route the scan does not take).  On the compiled
-    route, return the sorted left vertices of ``count_run_ends`` and
-    ``COUNT_SAMPLES`` more drawn next, and their counts of slots on set
-    bits of ``marked`` through ``scan_overlap_counts``, for
-    ``error_profile`` to compare with its full count; on the numpy route
-    that count is the scan, so return None."""
+    route, return the sorted positions in rows of ``count_run_ends`` and
+    ``COUNT_SAMPLES`` more drawn next, and the scan's counts of slots on
+    set bits of ``marked`` for the rows there, for ``positive_counts`` to
+    compare with its full count; on the numpy route that count is the
+    scan, and of no rows none can be drawn, so return None."""
     p = g.params
     rng = random.Random(repr(g.seed.coeffs))
     edges = np.array([rng.randrange(p.m * p.d) for _ in range(EDGE_SAMPLES)], dtype=np.uint64)
@@ -137,37 +137,26 @@ def _check_samples(g: SeededGraph, marked, stage: int):
         i = bad[0]
         raise KernelMismatch(f"stage {stage}: edge index {edges[i]} evaluates to {scanned[i]} "
                              f"in the edge scan but to {reference[i]} on the {route} route")
-    if not compiled():
+    if not compiled() or not len(rows):
         return None
-    drawn = {rng.randrange(p.m) for _ in range(COUNT_SAMPLES)}
-    rows = np.array(sorted(drawn.union(count_run_ends(p.m))), dtype=np.int64)
-    return rows, scan_overlap_counts(g, marked, rows)
+    drawn = {rng.randrange(len(rows)) for _ in range(COUNT_SAMPLES)}
+    positions = np.array(sorted(drawn.union(count_run_ends(len(rows)))), dtype=np.int64)
+    return positions, scan_overlap_counts(g, marked, rows[positions])
 
 
-def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
-    """Enumerate every probe of every universe element and report exact
-    error counts for the scheme that stores A.
-
-    The number of probe tuples (one slot per stage, d^stages of them) that
-    answer x true factors into the product of the per-stage slot overlaps.
-    The product is exact in int64: derived sizing has 2 d^2 n_cap <= s
-    <= 2^64, so d^2 < 2^63.  Each stage's edge scan, and on the compiled
-    route its full count, is cross-checked on samples (see
-    ``_check_samples``); a disagreement raises KernelMismatch before any
-    count is multiplied.  The full counts of all stages run on a worker
-    thread, beside this thread's sample checks on the compiled route.  An
-    edge sample's KernelMismatch, or else whatever the count raised, or
-    else a count sample's, is raised once the worker has ended.
-    """
-    p = sch.params
-    stages = len(sch.stages)
-    probes_per_element = p.d * stages
-    cap = budget if budget is not None else PROBE_BUDGET_ELEMENTS * probes_per_element
-    if p.m * probes_per_element > cap:
-        raise BudgetExceeded(
-            f"{p.m * probes_per_element} probe evaluations exceed budget {cap}")
-    A = left_vertices(sch.stages[0].graph, list(A))
-    rows = np.arange(p.m, dtype=np.int64)
+def positive_counts(sch: Scheme, rows) -> tuple:
+    """(answered, denominator): how many of the denominator = d^stages
+    equally likely probe tuples, one slot per stage, answer each vertex of
+    rows true, in row order.  That is the product of the stages' slot
+    overlaps, exact in int64: derived sizing has 2 d^2 n_cap <= s <= 2^64,
+    so d^2 < 2^63.  Each stage's edge scan, and on the compiled route its
+    full count, is cross-checked on samples (see ``_check_samples``); a
+    disagreement raises KernelMismatch before any count is multiplied.
+    The full counts of all stages run on a worker thread, beside this
+    thread's sample checks on the compiled route.  An edge sample's
+    KernelMismatch, or else whatever the count raised, or else a count
+    sample's, is raised once the worker has ended."""
+    rows = left_vertices(sch.stages[0].graph, rows)
     counts, failed = [], []
 
     def count_stages():
@@ -176,12 +165,13 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
         except BaseException as e:  # handed to the calling thread, which raises it
             failed.append(e)
 
-    worker = threading.Thread(target=count_stages, name="error_profile count")
+    worker = threading.Thread(target=count_stages, name="positive_counts count")
     worker.start()
     try:
         if not compiled():  # the numpy scan holds the GIL too, and would only contend
             worker.join()
-        samples = [_check_samples(st.graph, st.bitmap, i) for i, st in enumerate(sch.stages, 1)]
+        samples = [_check_samples(st.graph, st.bitmap, i, rows)
+                   for i, st in enumerate(sch.stages, 1)]
     finally:
         worker.join()
     if failed:
@@ -189,16 +179,30 @@ def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
     for number, (counted, sample) in enumerate(zip(counts, samples), 1):
         if sample is None:
             continue
-        sampled, scan = sample
-        bad = np.flatnonzero(counted[sampled] != scan)
+        at, scan = sample
+        bad = np.flatnonzero(counted[at] != scan)
         if bad.size:
-            i, v = bad[0], sampled[bad[0]]
-            raise KernelMismatch(f"stage {number}: left vertex {v} has {counted[v]} probe "
+            i, j = bad[0], at[bad[0]]
+            raise KernelMismatch(f"stage {number}: left vertex {rows[j]} has {counted[j]} probe "
                                  f"slots on set bits in the count but {scan[i]} in the edge scan")
-    answered_true = np.ones(p.m, dtype=np.int64)
+    answered = np.ones(len(rows), dtype=np.int64)
     for stage_counts in counts:
-        answered_true *= stage_counts
-    denominator = p.d ** stages
+        answered *= stage_counts
+    return answered, sch.params.d ** len(sch.stages)
+
+
+def error_profile(sch: Scheme, A, budget: int | None = None) -> ErrorProfile:
+    """Exact error counts of every universe element for the scheme that
+    stores A: a member errs on the probe tuples that ``positive_counts``
+    does not count, a non-member on those it does."""
+    p = sch.params
+    probes_per_element = p.d * len(sch.stages)
+    cap = budget if budget is not None else PROBE_BUDGET_ELEMENTS * probes_per_element
+    if p.m * probes_per_element > cap:
+        raise BudgetExceeded(
+            f"{p.m * probes_per_element} probe evaluations exceed budget {cap}")
+    A = left_vertices(sch.stages[0].graph, list(A))
+    answered_true, denominator = positive_counts(sch, np.arange(p.m, dtype=np.int64))
     member = np.zeros(p.m, dtype=bool)
     member[A] = True
     per_element = np.where(member, denominator - answered_true, answered_true)

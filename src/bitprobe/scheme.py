@@ -4,7 +4,7 @@ A stage pairs a pseudo-random graph, given by its polynomial seed (the
 cached word), with a bitmap over the graph's right side (the main storage).
 `one` and `bmrv` have one stage, `two` has two.  A kind class gives only
 `build_stages`, its seed-acceptance rule and stage bitmap; the set check,
-the seed stream, the retry loop, the query and the exact rate live here.
+the seed stream, the retry loop and the query live here.
 """
 
 import numbers
@@ -15,7 +15,6 @@ from fractions import Fraction
 from .bits import Bitmap
 from .gf import GF2_64, FieldSpec, default_indep_k, draw_seed, poly_eval
 from .graph import GraphParams, SeededGraph, derive_params
-from .reduction import slot_overlap_counts
 
 DEFAULT_MAX_RETRIES = 64
 
@@ -147,13 +146,3 @@ def query(sch: Scheme, x: int, rng) -> bool:
             return False
         j += 1
     return True
-
-
-def exact_error(sch: Scheme, x: int) -> Fraction:
-    """Exact probability that query(x) answers true over uniform probes:
-    the product over stages of the share of x's probe slots that read 1."""
-    rate = Fraction(1)
-    for st in sch.stages:
-        (ones,) = slot_overlap_counts(st.graph, st.bitmap, [x])
-        rate *= Fraction(int(ones), sch.params.d)
-    return rate

@@ -27,7 +27,8 @@ Layout (all integers little-endian):
 
 d and log2_s must be the sizing that derive_params gives for universe_bits,
 n_cap, eps and the field: a file with a smaller d would claim eps but
-deliver a weaker bound, so neither save nor load accepts one.
+deliver a weaker bound, so neither save nor load accepts one; nor does
+save accept stages that differ in graph params, indep_k or field.
 section_layout places every section from the header alone, so the bitmap
 can be read without touching the seed and vice versa.  save joins the
 sections in that table's order; load checks the file's total length
@@ -116,8 +117,9 @@ def save(scheme: Scheme) -> bytes:
         raise InvariantViolation("master_seed does not fit in u64")
     params = scheme.params
     seeds = [st.graph.seed for st in scheme.stages]
-    if len({(seed.indep_k, seed.field) for seed in seeds}) != 1:
-        raise InvariantViolation("stage seeds disagree on indep_k or the field")
+    if len({(st.graph.params, st.graph.seed.indep_k, st.graph.seed.field)
+            for st in scheme.stages}) != 1:
+        raise InvariantViolation("stages disagree on their graph params, indep_k or field")
     universe_bits = params.m.bit_length() - 1
     if params.m != 1 << universe_bits:
         raise InvariantViolation(f"m={params.m} is not a power of two")

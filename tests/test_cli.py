@@ -354,6 +354,24 @@ def test_verify_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, cap
     assert rows[0]["status"] == "KernelMismatch"
 
 
+@pytest.mark.parametrize("kind", ["one", "two"])
+def test_query_exact_fails_when_the_fused_count_disagrees_with_the_scan(tmp_path, capsys,
+                                                                       monkeypatch, kind):
+    # --exact counts x's slots through the oracle, so its one row is
+    # sampled and checked as verify checks every row
+    lib = _clmul._lib()
+    if lib is None:
+        pytest.skip("the compiled route is not loaded")
+    out, _ = build(tmp_path, [3, 17, 40, 58], capsys, kind=kind, u=6)
+    monkeypatch.setattr(_clmul, "_lib", miscount(lib, slice(None, 1)))
+    assert main(["query", out, "5", "--exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("answer=") and "positive_rate" not in captured.out
+    match = re.fullmatch(r"query failed: stage 1: left vertex 5 has (\d+) probe slots on set "
+                         r"bits in the count but (\d+) in the edge scan\n", captured.err)
+    assert match and int(match[1]) == int(match[2]) + 1, captured.err
+
+
 @pytest.mark.parametrize("master_seed", [0, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("end", [slice(None, 1), slice(-1, None)], ids=["first", "last"])
 def test_verify_fails_when_the_first_or_last_row_is_miscounted(tmp_path, capsys, monkeypatch,

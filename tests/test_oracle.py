@@ -5,15 +5,15 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitprobe import oracle, reduction, scheme_one, scheme_two
+from bitprobe import gf, oracle, reduction, scheme_one, scheme_two
 from bitprobe.bits import Bitmap
 from bitprobe.bmrv import BmrvScheme, greedy_label
-from bitprobe.oracle import BudgetExceeded, error_profile
-from bitprobe.scheme import exact_error
+from bitprobe.oracle import BudgetExceeded, error_profile, positive_counts
 from bitprobe.scheme_one import OneProbeScheme
 from bitprobe.scheme_two import TwoProbeScheme
 
@@ -41,8 +41,8 @@ def error_of(prof, x) -> Fraction:
 
 def reference_rate(sch, x) -> Fraction:
     """The share of probe tuples that answer x true, counted slot by slot
-    through scalar ``neighbor`` and ``Bitmap.get``: a path that neither
-    ``error_profile`` nor ``exact_error`` takes."""
+    through scalar ``neighbor`` and ``Bitmap.get``: a path that
+    ``positive_counts`` does not take."""
     rate = Fraction(1)
     for st in sch.stages:
         rate *= Fraction(probe_overlap(st.graph, x, st.bitmap), sch.params.d)
@@ -107,14 +107,28 @@ def test_samples_run_beside_the_count_only_where_it_releases_the_gil(route, monk
             seen.append(sampling.is_set())
         return count(g, marked, rows)
 
-    def samples(g, marked, stage):
+    def samples(g, marked, stage, rows):
         sampling.set()
-        check_samples(g, marked, stage)
+        return check_samples(g, marked, stage, rows)
 
     monkeypatch.setattr(oracle, "slot_overlap_counts", full_count)
     monkeypatch.setattr(oracle, "_check_samples", samples)
     assert error_profile(sch, A).per_element.tolist() == want
     assert seen == [route == "compiled"] * 2
+
+
+def spy_on_scans(monkeypatch) -> list:
+    """The list that the rows of every scan_overlap_counts call from now
+    on are appended to."""
+    scan, scanned = reduction.scan_overlap_counts, []
+
+    def spy(g, marked, rows):
+        scanned.append(rows.tolist())
+        return scan(g, marked, rows)
+
+    monkeypatch.setattr(reduction, "scan_overlap_counts", spy)
+    monkeypatch.setattr(oracle, "scan_overlap_counts", spy)
+    return scanned
 
 
 @pytest.mark.parametrize("route", ["compiled", "numpy"], indirect=True)
@@ -124,14 +138,7 @@ def test_the_scan_recounts_a_sample_only_of_the_compiled_count(route, monkeypatc
     # for its full count
     A = [3, 40, 77, 100]
     sch = scheme_two.encode(A, 7, Fraction(1, 4), indep_k=6, master_seed=8)
-    scan, scanned = reduction.scan_overlap_counts, []
-
-    def spy(g, marked, rows):
-        scanned.append(rows.tolist())
-        return scan(g, marked, rows)
-
-    monkeypatch.setattr(reduction, "scan_overlap_counts", spy)
-    monkeypatch.setattr(oracle, "scan_overlap_counts", spy)
+    scanned = spy_on_scans(monkeypatch)
     error_profile(sch, A)
     m = sch.params.m
     if route == "numpy":
@@ -143,6 +150,57 @@ def test_the_scan_recounts_a_sample_only_of_the_compiled_count(route, monkeypatc
     for rows in scanned:
         assert rows == sorted(set(rows)) and set(ends) <= set(rows)
         assert len(rows) <= len(ends) + oracle.COUNT_SAMPLES < m
+
+
+@pytest.mark.parametrize("route", ["compiled", "numpy"], indirect=True)
+def test_a_count_sample_of_some_rows_is_drawn_by_position(route, monkeypatch):
+    # positions in rows, not vertices: the run ends of len(rows) always,
+    # whichever order the rows come in
+    sch = scheme_two.encode([3, 40, 77, 100], 7, Fraction(1, 4), indep_k=6, master_seed=8)
+    rows = list(range(100, 9, -3))
+    every, _ = positive_counts(sch, range(sch.params.m))
+    scanned = spy_on_scans(monkeypatch)
+    answered, _ = positive_counts(sch, rows)
+    assert answered.tolist() == every[rows].tolist()
+    if route == "numpy":
+        assert scanned == [rows] * 2
+        return
+    assert len(scanned) == 2
+    for sample in scanned:
+        positions = [rows.index(v) for v in sample]
+        assert positions == sorted(set(positions))
+        assert set(oracle.count_run_ends(len(rows))) <= set(positions)
+        assert len(positions) <= len(oracle.count_run_ends(len(rows))) + oracle.COUNT_SAMPLES
+
+
+@pytest.mark.parametrize("route", ["compiled", "numpy"], indirect=True)
+def test_positive_counts_of_no_rows_draws_no_count_sample(route, monkeypatch):
+    sch = scheme_two.encode([3, 40, 77, 100], 7, Fraction(1, 4), indep_k=6, master_seed=8)
+    scanned = spy_on_scans(monkeypatch)
+    answered, denominator = positive_counts(sch, [])
+    assert answered.dtype == np.int64 and answered.shape == (0,)
+    assert denominator == sch.params.d ** 2
+    assert scanned == ([] if route == "compiled" else [[], []])
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+def test_a_miscounted_row_is_named_by_its_vertex(monkeypatch, at):
+    # the first and last positions are run ends, so always in the sample
+    if not gf.compiled():
+        pytest.skip("the compiled route is not loaded")
+    sch = scheme_two.encode([3, 40, 77, 100], 7, Fraction(1, 4), indep_k=6, master_seed=8)
+    rows = list(range(100, 9, -3))
+    count = reduction.overlap_counts
+
+    def miscount_one_row(seed, vs, d, s, packed):
+        counts = count(seed, vs, d, s, packed)
+        counts[vs == rows[at]] += 1
+        return counts
+
+    monkeypatch.setattr(reduction, "overlap_counts", miscount_one_row)
+    with pytest.raises(oracle.KernelMismatch,
+                       match=fr"^stage 1: left vertex {rows[at]} has \d+ probe slots"):
+        positive_counts(sch, rows)
 
 
 def test_count_run_ends_are_the_ends_of_every_split():
@@ -215,14 +273,16 @@ def hand_built_scheme(draw):
 @settings(max_examples=300, deadline=None)
 @given(hand_built_scheme())
 def test_profile_equals_the_scalar_exact_error(case):
-    """The profile and exact_error, both counted by slot_overlap_counts,
-    against the scalar slot-by-slot rate of ``reference_rate``."""
+    """The profile and positive_counts, both counted by
+    slot_overlap_counts, against the scalar slot-by-slot rate of
+    ``reference_rate``."""
     sch, A = case
     prof = error_profile(sch, A)
+    answered, denominator = positive_counts(sch, range(sch.params.m))
     errors = {}
     for x in range(sch.params.m):
         rate = reference_rate(sch, x)
-        assert exact_error(sch, x) == rate
+        assert Fraction(int(answered[x]), denominator) == rate
         errors[x] = 1 - rate if x in A else rate
         assert error_of(prof, x) == errors[x]
     member = [errors[x] for x in A]

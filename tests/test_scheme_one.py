@@ -5,7 +5,8 @@ import pytest
 
 from bitprobe import bmrv, scheme, scheme_one, scheme_two
 from bitprobe.graph import GraphParams
-from bitprobe.scheme import RetriesExhausted, exact_error
+from bitprobe.oracle import positive_counts
+from bitprobe.scheme import RetriesExhausted
 from bitprobe.scheme_one import OneProbeScheme, encode, query
 
 from helpers import CountingBitmap, FixedProbes, with_bitmaps
@@ -24,7 +25,8 @@ def test_empty_set_accepts_first_seed_with_zero_bitmap():
     for x in (0, 13, 63):
         for i in range(sch.params.d):
             assert not query(sch, x, FixedProbes(i))
-        assert exact_error(sch, x) == 0
+    answered, _ = positive_counts(sch, range(sch.params.m))
+    assert not answered.any()
 
 
 def test_members_always_answer_true_on_every_probe():
@@ -32,17 +34,20 @@ def test_members_always_answer_true_on_every_probe():
     for x in A:
         for i in range(sch.params.d):
             assert query(sch, x, FixedProbes(i))
-        assert exact_error(sch, x) == 1
+    answered, denominator = positive_counts(sch, A)
+    assert denominator == sch.params.d and (answered == denominator).all()
 
 
 def test_nonmembers_error_below_eps_exhaustively():
     A, sch = small_scheme()
     d = sch.params.d
     members = set(A)
+    answered, denominator = positive_counts(sch, range(sch.params.m))
+    assert denominator == d
     for x in range(sch.params.m):
         if x in members:
             continue
-        rate = exact_error(sch, x)
+        rate = Fraction(int(answered[x]), d)
         assert rate < sch.params.eps
         # cross-check by enumerating every probe index
         hits = sum(query(sch, x, FixedProbes(i)) for i in range(d))
@@ -96,7 +101,7 @@ def test_query_rejects_out_of_range_probe_and_element():
     m = sch.params.m
     for x in (-1, m, 1 << 64):  # the text that neighbor gives
         with pytest.raises(ValueError, match=fr"^left vertex {x} out of range \[0, {m}\)$"):
-            exact_error(sch, x)
+            positive_counts(sch, [x])
 
 
 @pytest.mark.parametrize("kind_encode", [scheme_one.encode, scheme_two.encode, bmrv.encode],

@@ -6,8 +6,9 @@ import pytest
 
 from bitprobe import graph, reduction, scheme, scheme_one, scheme_two
 from bitprobe.graph import GraphParams, neighborhood_bitmap
+from bitprobe.oracle import positive_counts
 from bitprobe.reduction import check_strong_reduction, overlap_threshold
-from bitprobe.scheme import RetriesExhausted, exact_error
+from bitprobe.scheme import RetriesExhausted
 from bitprobe.scheme_one import OneProbeScheme
 from bitprobe.scheme_two import TwoProbeScheme, encode, query
 
@@ -107,11 +108,13 @@ def test_exact_error_factorizes_and_stays_below_eps():
     members = set(W_SET)
     w = set(check_strong_reduction(sch.g1, W_SET, sch.params.eps).violating)
     t = overlap_threshold(d, sch.params.eps)
+    answered, denominator = positive_counts(sch, range(sch.params.m))
+    assert denominator == d * d
     for x in range(sch.params.m):
         true_pairs = sum(query(sch, x, FixedProbes(i1, i2))
                          for i1, i2 in itertools.product(range(d), repeat=2))
-        rate = exact_error(sch, x)
-        assert rate == Fraction(true_pairs, d * d)
+        assert answered[x] == true_pairs
+        rate = Fraction(true_pairs, d * d)
         if x in members:
             assert rate == 1
             continue

@@ -161,6 +161,21 @@ def test_save_rejects_a_bitmap_other_than_s_bits(make, nbits):
         save(replace(sch, stages=stages))
 
 
+@pytest.mark.parametrize("field", ["d", "n_cap", "eps", "m"])
+def test_save_rejects_stages_of_different_params(field):
+    # the header holds one graph shape: a second stage of another one would
+    # load back with the first's, and load(save(s)) would differ from s
+    sch = two_probe()
+    p = sch.params
+    value = {"d": p.d - 1, "n_cap": p.n_cap + 1, "eps": p.eps / 2, "m": p.m // 2}[field]
+    graph = SeededGraph(replace(p, **{field: value}), sch.stages[1].graph.seed)
+    for i in (0, 1):
+        stages = list(sch.stages)
+        stages[i] = replace(stages[i], graph=graph)
+        with pytest.raises(InvariantViolation, match="disagree on their graph params"):
+            save(replace(sch, stages=tuple(stages)))
+
+
 def test_seed_count_must_match_header():
     blob = bytearray(save(one_probe()))
     layout = dict((name, (off, ln)) for name, off, ln in section_layout(bytes(blob)))
